@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .braid import BraidWord
 from .defects import defect
@@ -280,6 +281,7 @@ def cmd_birman(args) -> int:
     return 0
 
 
+@cache
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="braidrep",

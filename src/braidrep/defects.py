@@ -52,8 +52,12 @@ class DefectResult:
 
 def defect(n: int, word: BraidWord) -> DefectResult:
     """Both defects of the LKB/exterior-square pair at one word."""
+    if not word.is_classical:
+        raise ValueError("defects are defined for classical words only")
+    phi = rep_apply(lkb(n), word)
+    psi = rep_apply(exterior_square_burau(n), word)
     return DefectResult(
         word=word,
-        additive=additive_defect(n, word),
-        multiplicative=multiplicative_defect(n, word),
+        additive=phi - psi,
+        multiplicative=psi.inverse() * phi.to_ratfunc(),
     )

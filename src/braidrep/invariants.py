@@ -7,13 +7,16 @@ reachable from a word by Markov moves (conjugation, stabilization,
 destabilization) is an invariant of the closure link.  The full set is
 infinite; enumerate_markov_class explores it breadth-first inside explicit
 bounds, deduplicating braids by Garside normal form and polynomials by
-canonical string.
+canonical string.  A word reached by conjugation inherits the polynomial of
+the word it came from; only stabilization and destabilization children have
+their characteristic polynomial computed.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 
 from .braid import BraidWord, conjugate, destabilize, free_reduce, sigma, stabilize
 from .garside import to_normal_form
@@ -36,6 +39,10 @@ class MarkovBounds:
     max_strands: int
     max_word_length: int
 
+    def __post_init__(self):
+        if self.depth < 0 or self.max_word_length < 0:
+            raise ValueError("Markov bounds depth and max_word_length must be nonnegative")
+
 
 @dataclass(frozen=True)
 class MarkovClassSample:
@@ -54,14 +61,9 @@ class MarkovClassSample:
         raise KeyError(poly)
 
 
-_LKB_CACHE: dict[int, object] = {}
-
-
+@cache
 def _lkb(n: int):
-    rep = _LKB_CACHE.get(n)
-    if rep is None:
-        rep = _LKB_CACHE[n] = lkb(n)
-    return rep
+    return lkb(n)
 
 
 def charpoly_invariant(n: int, word: BraidWord) -> InvariantValue:
@@ -72,19 +74,20 @@ def charpoly_invariant(n: int, word: BraidWord) -> InvariantValue:
     return InvariantValue(n, rep_apply(_lkb(n), word).charpoly("w"))
 
 
-def _moves(word: BraidWord, bounds: MarkovBounds) -> list[BraidWord]:
+def _moves(word: BraidWord, bounds: MarkovBounds) -> list[tuple[BraidWord, bool]]:
+    """Markov-move children of a word, each flagged True if it is a conjugate."""
     out = []
     n = word.n
     for i in range(1, n):
         for s in (1, -1):
-            out.append(free_reduce(conjugate(word, BraidWord(n, (sigma(i, s),)))))
+            out.append((free_reduce(conjugate(word, BraidWord(n, (sigma(i, s),)))), True))
     if n < bounds.max_strands:
-        out.append(stabilize(word, 1))
-        out.append(stabilize(word, -1))
+        out.append((stabilize(word, 1), False))
+        out.append((stabilize(word, -1), False))
     if n >= 3 and word.letters and word.letters[-1][0] == n - 1:
         if all(i != n - 1 for i, _ in word.letters[:-1]):
-            out.append(destabilize(word))
-    return [w for w in out if len(w) <= bounds.max_word_length]
+            out.append((destabilize(word), False))
+    return [(w, conj) for w, conj in out if len(w) <= bounds.max_word_length]
 
 
 def enumerate_markov_class(seed: BraidWord, bounds: MarkovBounds) -> MarkovClassSample:
@@ -93,18 +96,20 @@ def enumerate_markov_class(seed: BraidWord, bounds: MarkovBounds) -> MarkovClass
         raise ValueError("Markov moves apply to classical words only")
     seen = {(seed.n, to_normal_form(seed))}
     witnesses: dict[str, BraidWord] = {}
-    queue = deque([(seed, 0)])
+    # Queue items carry the polynomial key, or None where it is still unknown.
+    queue: deque[tuple[BraidWord, int, str | None]] = deque([(seed, 0, None)])
     while queue:
-        word, depth = queue.popleft()
-        key = canonical_string(charpoly_invariant(word.n, word).poly)
+        word, depth, key = queue.popleft()
+        if key is None:
+            key = canonical_string(charpoly_invariant(word.n, word).poly)
         witnesses.setdefault(key, word)
         if depth >= bounds.depth:
             continue
-        for nxt in _moves(word, bounds):
+        for nxt, is_conjugate in _moves(word, bounds):
             state = (nxt.n, to_normal_form(nxt))
             if state not in seen:
                 seen.add(state)
-                queue.append((nxt, depth + 1))
+                queue.append((nxt, depth + 1, key if is_conjugate else None))
     ordered = tuple(sorted(witnesses.items()))
     return MarkovClassSample(seed=seed, bounds=bounds, witnesses=ordered)
 

@@ -5,9 +5,11 @@ uniformly per matrix.  Coordinates are row vectors: the row indexed by a
 basis vector holds the coefficients of its image, and words of group
 elements map to matrix products in word order.
 
-Determinants over the polynomial ring use fraction-free Bareiss elimination
-(exact division keeps intermediate entries polynomial); over the fraction
-field a memoized cofactor expansion is used instead.
+Determinants and characteristic polynomials come from one division-free
+routine, Berkowitz's algorithm (Inf. Proc. Letters 18, 1984), which uses
+ring operations only.  Over the fraction field each row is first scaled to
+polynomial entries by a common denominator, and the product of those
+denominators is divided out once at the end.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .ring import (
     ZERO,
     LaurentPoly,
     RatFunc,
-    canonical_string,
     parse_poly,
     parse_ratfunc,
 )
@@ -89,11 +90,6 @@ class RingMatrix:
     def zero(cls, dim: int, ring: str = RING_LAURENT) -> RingMatrix:
         zero = ZERO if ring == RING_LAURENT else RatFunc(ZERO)
         return cls([[zero] * dim for _ in range(dim)], ring)
-
-    @classmethod
-    def from_entry_fn(cls, dim: int, fn: Callable[[int, int], object],
-                      ring: str = RING_LAURENT) -> RingMatrix:
-        return cls([[fn(i, j) for j in range(dim)] for i in range(dim)], ring)
 
     # -- structure ------------------------------------------------------------
 
@@ -214,9 +210,20 @@ class RingMatrix:
     # -- determinant, inverse, characteristic polynomial ------------------------
 
     def det(self):
+        """LaurentPoly over the Laurent ring, RatFunc over the fraction field."""
         if self.ring == RING_LAURENT:
-            return _det_bareiss(self.rows)
-        return _det_cofactor(self.rows)
+            return _det_laurent(self.rows)
+        # Scale every row to polynomial entries: det(D*A) = det(D) * det(A).
+        rows, scale = [], ONE
+        for row in self.rows:
+            den = ONE
+            for e in row:
+                if not (e.den.is_one() or e.den.divides(den)):
+                    den = den * e.den
+            rows.append([e.num * (den if e.den.is_one() else den.exact_div(e.den))
+                         for e in row])
+            scale = scale * den
+        return RatFunc(_det_laurent(rows), scale)
 
     def inverse(self) -> RingMatrix:
         """Exact inverse over the fraction field; raises SingularMatrixError."""
@@ -244,19 +251,18 @@ class RingMatrix:
         return RingMatrix(aug, RING_RATFUNC)
 
     def charpoly(self, var: str = "w") -> LaurentPoly:
-        """det(A - var*I), expanded in canonical form."""
+        """det(A - var*I) = (-1)^dim * det(var*I - A), expanded in canonical form."""
         if self.ring != RING_LAURENT:
             raise ValueError("characteristic polynomial requires Laurent entries")
         for row in self.rows:
             for e in row:
                 if var in e.variables():
                     raise ValueError(f"matrix entries already involve {var!r}")
-        wvar = LaurentPoly.variable(var)
-        shifted = [
-            [e - wvar if i == j else e for j, e in enumerate(row)]
-            for i, row in enumerate(self.rows)
-        ]
-        return _det_bareiss(shifted)
+        dim = self.dim
+        total = ZERO
+        for k, c in enumerate(_berkowitz(self.rows)):
+            total = total + c * LaurentPoly.variable(var, dim - k)
+        return -total if dim % 2 else total
 
     def evaluate(self, point: Mapping[str, Fraction | int]) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(e.evaluate(point) for e in row) for row in self.rows)
@@ -294,61 +300,42 @@ class RingMatrix:
         return f"RingMatrix(dim={self.dim}, ring={self.ring!r})"
 
 
-def _det_bareiss(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
+def _dot(xs: Iterable[LaurentPoly], ys: Iterable[LaurentPoly]) -> LaurentPoly:
+    acc = ZERO
+    for x, y in zip(xs, ys):
+        if x and y:
+            acc = acc + x * y
+    return acc
+
+
+def _berkowitz(rows: Sequence[Sequence[LaurentPoly]]) -> list[LaurentPoly]:
+    """Coefficients c_0 = 1, c_1, ..., c_dim of det(x*I - A) = sum c_k x^(dim-k).
+
+    Works up from the trailing principal submatrices.  Splitting A[k:, k:]
+    into the corner a, the row r, the column c and the block S = A[k+1:, k+1:]
+    (of size m), its characteristic polynomial is the Toeplitz product of
+    (1, -a, -r.c, -r.S c, ..., -r.S^(m-1) c) with the one of S; the powers of
+    S are applied to c one matrix-vector product at a time.
+    """
     dim = len(rows)
-    if dim == 1:
-        return rows[0][0]
-    m = [list(row) for row in rows]
-    sign = 1
-    prev = ONE
-    for k in range(dim - 1):
-        if m[k][k].is_zero():
-            swap = next((r for r in range(k + 1, dim) if not m[r][k].is_zero()), None)
-            if swap is None:
-                return ZERO
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, dim):
-            for j in range(k + 1, dim):
-                value = pivot * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = value.exact_div(prev)
-            m[i][k] = ZERO
-        prev = pivot
-    result = m[dim - 1][dim - 1]
-    return -result if sign < 0 else result
+    poly = [ONE, -rows[-1][-1]]
+    for k in range(dim - 2, -1, -1):
+        block = [row[k + 1:] for row in rows[k + 1:]]
+        r = rows[k][k + 1:]
+        vec = [row[k] for row in rows[k + 1:]]
+        m = len(block)
+        s = [rows[k][k], _dot(r, vec)]
+        for _ in range(m - 1):
+            vec = [_dot(row, vec) for row in block]
+            s.append(_dot(r, vec))
+        new = [ONE]
+        for i in range(1, m + 2):
+            acc = _dot(s[i - 1::-1], poly[:i])
+            new.append(poly[i] - acc if i <= m else -acc)
+        poly = new
+    return poly
 
 
-def _det_cofactor(rows: Sequence[Sequence]) -> RatFunc:
-    dim = len(rows)
-    full = (1 << dim) - 1
-    memo: dict[tuple[int, int], RatFunc] = {}
-    rzero, rone = RatFunc(ZERO), RatFunc(ONE)
-
-    def minor(r: int, mask: int) -> RatFunc:
-        if r == dim:
-            return rone
-        key = (r, mask)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = rzero
-        sign = 1
-        for j in range(dim):
-            bit = 1 << j
-            if not (mask & bit):
-                continue
-            entry = rows[r][j]
-            if entry:
-                sub = minor(r + 1, mask & ~bit)
-                term = entry * sub
-                total = total - term if sign < 0 else total + term
-            sign = -sign
-        memo[key] = total
-        return total
-
-    return minor(0, full)
-
-
-def det_multiplicative_check(a: RingMatrix, b: RingMatrix) -> bool:
-    return (a * b).det() == a.det() * b.det()
+def _det_laurent(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
+    c = _berkowitz(rows)[-1]
+    return -c if len(rows) % 2 else c

@@ -20,6 +20,7 @@ sends singular braid words to elements of the algebra.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -179,7 +180,7 @@ def _coeff(value) -> LaurentPoly:
         return integer(value)
     if isinstance(value, Fraction) and value.denominator == 1:
         return integer(int(value))
-    raise TypeError(f"bad coefficient {value!r} (rational coefficients only via scaling)")
+    raise ValueError(f"coefficient {value} is not an integer or a Laurent polynomial")
 
 
 class TLElem:
@@ -336,7 +337,7 @@ def invertibility_check(n: int, a: Fraction | int, b: Fraction | int) -> TLInver
     Laurent ring itself.
     """
     af, bf = Fraction(a), Fraction(b)
-    scale = af.denominator * bf.denominator // _gcd(af.denominator, bf.denominator)
+    scale = math.lcm(af.denominator, bf.denominator)
     ai, bi = int(af * scale), int(bf * scale)
     elem = TLElem.generator(n, 1).scalar_mul(ai) + TLElem.unit(n).scalar_mul(bi)
     basis = tl_basis(n)
@@ -357,9 +358,3 @@ def invertibility_check(n: int, a: Fraction | int, b: Fraction | int) -> TLInver
         invertible_over_field=not det.is_zero(),
         invertible_over_ring=det.is_monomial(),
     )
-
-
-def _gcd(x: int, y: int) -> int:
-    while y:
-        x, y = y, x % y
-    return x

@@ -177,3 +177,18 @@ def test_golden_values_reachable_through_cli(capsys, argv, needle):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert needle in out
+
+
+def test_tl_rational_param_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "tl", "--n", "3", "--word", "t1", "--param", "a=1/2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    code, _, err = run(capsys, "tl", "--n", "4", "--verify", "--param", "a=1/2")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_markov_negative_bounds_rejected(capsys):
+    code, out, err = run(capsys, "markov", "--n", "2", "--word", "1", "--depth", "-1")
+    assert code == 2 and out == "" and "depth" in err
+    code, out, err = run(capsys, "markov", "--n", "2", "--word", "1", "--max-len", "-1")
+    assert code == 2 and out == "" and "max_word_length" in err

@@ -1,10 +1,13 @@
 import random
+from collections import deque
 
 import pytest
 
-from braidrep.braid import BraidWord, conjugate
+from braidrep.braid import BraidWord, conjugate, destabilize, free_reduce, stabilize
+from braidrep.garside import to_normal_form
 from braidrep.invariants import (
     MarkovBounds,
+    MarkovClassSample,
     charpoly_invariant,
     enumerate_markov_class,
     verify_reference_examples,
@@ -124,3 +127,58 @@ def test_markov_witnesses_reproduce_their_polynomials():
         value = charpoly_invariant(witness.n, witness).poly
         assert canonical_string(value) == poly_text
         assert parse_poly(poly_text) == value
+
+
+def _reference_markov_class(seed, bounds):
+    # Plain BFS over Markov moves that computes the invariant of every state.
+    seen = {(seed.n, to_normal_form(seed))}
+    witnesses = {}
+    queue = deque([(seed, 0)])
+    while queue:
+        word, depth = queue.popleft()
+        key = canonical_string(charpoly_invariant(word.n, word).poly)
+        witnesses.setdefault(key, word)
+        if depth >= bounds.depth:
+            continue
+        n = word.n
+        children = [
+            free_reduce(conjugate(word, BraidWord(n, ((i, s),))))
+            for i in range(1, n) for s in (1, -1)
+        ]
+        if n < bounds.max_strands:
+            children += [stabilize(word, 1), stabilize(word, -1)]
+        top = [k for k, (i, _) in enumerate(word.letters) if i == n - 1]
+        if n >= 3 and top == [len(word.letters) - 1]:
+            children.append(destabilize(word))
+        for child in children:
+            state = (child.n, to_normal_form(child))
+            if len(child) <= bounds.max_word_length and state not in seen:
+                seen.add(state)
+                queue.append((child, depth + 1))
+    return MarkovClassSample(seed, bounds, tuple(sorted(witnesses.items())))
+
+
+def test_markov_inheritance_matches_reference_bfs():
+    rng = random.Random(314)
+    cases = [(B(3, "1 2"), MarkovBounds(2, 4, 8)), (B(4, "1 2 3"), MarkovBounds(2, 4, 6))]
+    for _ in range(6):
+        n = rng.randint(2, 4)
+        word = rand_classical_word(rng, n, rng.randint(1, 3))
+        if n >= 3 and rng.random() < 0.5:
+            # end on the only sigma_{n-1} so that destabilization is reachable
+            head = rand_classical_word(rng, n - 1, rng.randint(0, 2))
+            word = BraidWord(n, head.letters + ((n - 1, rng.choice((1, -1))),))
+        cases.append((word, MarkovBounds(rng.randint(1, 2), 4, len(word) + 3)))
+    destabilized = False
+    for seed, bounds in cases:
+        sample = enumerate_markov_class(seed, bounds)
+        assert sample == _reference_markov_class(seed, bounds)
+        destabilized |= any(w.n < seed.n for _, w in sample.witnesses)
+    assert destabilized
+
+
+def test_markov_bounds_reject_negative_values():
+    with pytest.raises(ValueError):
+        MarkovBounds(-1, 3, 8)
+    with pytest.raises(ValueError):
+        MarkovBounds(1, 3, -1)

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from braidrep.braid import BraidWord
 from braidrep.matrix import RingMatrix, SingularMatrixError
+from braidrep.reps import lkb, rep_apply
 from braidrep.ring import RatFunc, variable
 from conftest import rand_poly
 
@@ -99,6 +101,56 @@ def test_inverse_of_wedge_generator():
         "ratfunc",
     )
     assert inv == expected
+
+
+def test_ratfunc_det_with_mixed_row_denominators():
+    # The inverse has rows over q + 2 and (q + 2)(q^2 - 1) (one multiple of
+    # the other) and over q^2 - 1, so rows carry different denominators.
+    a = RingMatrix([[q + 2, 1, 0], [0, q, 1], [0, 1, q]])
+    assert a.inverse().det() == RatFunc(1) / a.det()
+    # In the first row of m the denominators q + 1 and t + 1 do not divide
+    # each other.
+    one = RatFunc(1)
+    m = RingMatrix(
+        [
+            [RatFunc(1, q + 1), RatFunc(1, t + 1), RatFunc(q, (q + 1) * (t + 1))],
+            [RatFunc(q, q - t), one, RatFunc(t)],
+            [one, RatFunc(1, q + 2), RatFunc(2)],
+        ],
+        "ratfunc",
+    )
+    (a, b, c), (d, e, f), (g, h, i) = m.rows
+    assert m.det() == a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def test_det_and_charpoly_match_sympy_on_lkb_images():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(99)
+    x = sympy.Symbol("x")
+
+    def rational(f: Fraction):
+        return sympy.Rational(f.numerator, f.denominator)
+
+    for n in (3, 4):
+        rep = lkb(n)
+        for _ in range(3):
+            word = BraidWord(
+                n, tuple((rng.randint(1, n - 1), rng.choice((1, -1)))
+                         for _ in range(rng.randint(1, 4)))
+            )
+            image = rep_apply(rep, word)
+            cp, det, dim = image.charpoly(), image.det(), image.dim
+            point = {"q": Fraction(rng.randint(2, 9), rng.randint(1, 5)),
+                     "t": Fraction(-rng.randint(2, 9), rng.randint(1, 5))}
+            numeric = sympy.Matrix([[rational(e) for e in row]
+                                    for row in image.evaluate(point)])
+            assert rational(det.evaluate(point)) == numeric.det()
+            # sympy gives det(x*I - A), ours is det(A - w*I); agreement at
+            # dim + 1 values of w fixes every coefficient.
+            ref = numeric.charpoly(x).as_expr()
+            for wv in range(dim + 1):
+                value = cp.evaluate({**point, "w": wv})
+                assert rational(value) == (-1) ** dim * ref.subs(x, wv)
 
 
 def test_charpoly_goldens():
