@@ -38,13 +38,19 @@ from .tl import tl_rho, verify_tl_relations
 
 MATRIX_REPS = ("burau", "burau-ext", "lkb", "lkb-ext", "wedge-burau")
 REP_NAMES = MATRIX_REPS + ("birman",)
+# The --param names each representation (or the tl command) takes.
+PARAM_NAMES = {
+    "burau": (), "burau-ext": ("a",), "lkb": (), "lkb-ext": ("u", "v"),
+    "wedge-burau": (), "birman": ("a", "b", "c"), "tl": ("a", "b"),
+}
 
 
 class UsageError(ValueError):
     pass
 
 
-def _parse_params(items: list[str] | None) -> dict[str, object]:
+def _parse_params(items: list[str] | None, subject: str) -> dict[str, object]:
+    allowed = PARAM_NAMES[subject]
     params: dict[str, object] = {}
     for item in items or []:
         if "=" not in item:
@@ -52,6 +58,11 @@ def _parse_params(items: list[str] | None) -> dict[str, object]:
         name, value = item.split("=", 1)
         name = name.strip()
         value = value.strip()
+        if name not in allowed:
+            takes = " ".join(allowed) or "no parameters"
+            raise UsageError(f"unknown parameter {name!r} for {subject} (takes {takes})")
+        if name in params:
+            raise UsageError(f"parameter {name!r} given twice")
         if value == "sym":
             params[name] = name
         else:
@@ -88,9 +99,7 @@ def _matrix_text(m: RingMatrix) -> str:
 
 
 def cmd_rep(args) -> int:
-    params = _parse_params(args.param)
-    if args.rep == "birman":
-        raise UsageError("use the 'birman' subcommand for group-algebra images")
+    params = _parse_params(args.param, args.rep)
     rep = _build_rep(args.rep, args.n, params)
     word = BraidWord.parse(args.n, args.word)
     image = rep_apply(rep, word)
@@ -99,7 +108,7 @@ def cmd_rep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params = _parse_params(args.param)
+    params = _parse_params(args.param, args.rep)
     if args.rep == "birman":
         report = verify_group_algebra_relations(
             args.n, params.get("a"), params.get("b"), params.get("c")
@@ -188,8 +197,10 @@ def cmd_solve_ext(args) -> int:
     for piece in args.point.split(","):
         if "=" not in piece:
             raise UsageError(f"bad --point component {piece!r}")
-        name, value = piece.split("=", 1)
-        point[name.strip()] = Fraction(value.strip())
+        name, value = (x.strip() for x in piece.split("=", 1))
+        if name in point:
+            raise UsageError(f"coordinate {name!r} given twice")
+        point[name] = Fraction(value)
     solution = solve_extension_space(args.n, point)
     data = {
         "n": solution.n,
@@ -247,7 +258,7 @@ def cmd_nf(args) -> int:
 
 
 def cmd_tl(args) -> int:
-    params = _parse_params(args.param)
+    params = _parse_params(args.param, "tl")
     if args.verify:
         report = verify_tl_relations(args.n, params.get("a"), params.get("b"))
         data = {
@@ -269,7 +280,7 @@ def cmd_tl(args) -> int:
 
 
 def cmd_birman(args) -> int:
-    params = _parse_params(args.param)
+    params = _parse_params(args.param, "birman")
     word = BraidWord.parse(args.n, args.word)
     elem = birman_image(word, params.get("a"), params.get("b"), params.get("c"))
     data = {

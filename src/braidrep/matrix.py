@@ -5,16 +5,19 @@ uniformly per matrix.  Coordinates are row vectors: the row indexed by a
 basis vector holds the coefficients of its image, and words of group
 elements map to matrix products in word order.
 
-Determinants and characteristic polynomials come from one division-free
-routine, Berkowitz's algorithm (Inf. Proc. Letters 18, 1984), which uses
-ring operations only.  Over the fraction field each row is first scaled to
-polynomial entries by a common denominator, and the product of those
-denominators is divided out once at the end.
+Determinants, characteristic polynomials and inverses come from one
+division-free routine, Berkowitz's algorithm (Inf. Proc. Letters 18, 1984),
+which uses ring operations only.  The inverse follows from the same
+coefficients by Cayley-Hamilton.  Over the fraction field each row is first
+scaled to polynomial entries by a common denominator, and the denominators
+are divided out once at the end.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -108,7 +111,8 @@ class RingMatrix:
         return a.rows == b.rows
 
     def __hash__(self):
-        return hash((self.ring, self.rows))
+        # No ring tag: a Laurent matrix equals its fraction-field copy.
+        return hash(self.rows)
 
     def map_entries(self, fn: Callable, ring: str | None = None) -> RingMatrix:
         return RingMatrix([[fn(e) for e in row] for row in self.rows],
@@ -137,29 +141,20 @@ class RingMatrix:
             return self, other
         return self.to_ratfunc(), other.to_ratfunc()
 
-    def __add__(self, other):
+    def _entrywise(self, other, op: Callable) -> RingMatrix:
         if not isinstance(other, RingMatrix):
             return NotImplemented
         a, b = self._check_compatible(other)
         return RingMatrix(
-            [
-                [a.rows[i][j] + b.rows[i][j] for j in range(a.dim)]
-                for i in range(a.dim)
-            ],
+            [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)],
             a.ring,
         )
 
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
+
     def __sub__(self, other):
-        if not isinstance(other, RingMatrix):
-            return NotImplemented
-        a, b = self._check_compatible(other)
-        return RingMatrix(
-            [
-                [a.rows[i][j] - b.rows[i][j] for j in range(a.dim)]
-                for i in range(a.dim)
-            ],
-            a.ring,
-        )
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self):
         return self.map_entries(lambda e: -e)
@@ -213,42 +208,45 @@ class RingMatrix:
         """LaurentPoly over the Laurent ring, RatFunc over the fraction field."""
         if self.ring == RING_LAURENT:
             return _det_laurent(self.rows)
-        # Scale every row to polynomial entries: det(D*A) = det(D) * det(A).
-        rows, scale = [], ONE
-        for row in self.rows:
-            den = ONE
-            for e in row:
-                if not (e.den.is_one() or e.den.divides(den)):
-                    den = den * e.den
-            rows.append([e.num * (den if e.den.is_one() else den.exact_div(e.den))
-                         for e in row])
-            scale = scale * den
-        return RatFunc(_det_laurent(rows), scale)
+        # det(D*A) = det(D) * det(A) for the diagonal row scaling D.
+        rows, dens = _scale_rows(self.rows)
+        return RatFunc(_det_laurent(rows), math.prod(dens, start=ONE))
 
     def inverse(self) -> RingMatrix:
-        """Exact inverse over the fraction field; raises SingularMatrixError."""
-        dim = self.dim
-        work = [list(row) for row in self.to_ratfunc().rows]
-        rzero, rone = RatFunc(ZERO), RatFunc(ONE)
-        aug = [[rzero] * dim for _ in range(dim)]
-        for i in range(dim):
-            aug[i][i] = rone
-        for col in range(dim):
-            pivot = next((r for r in range(col, dim) if work[r][col]), None)
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular")
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = work[col][col].inverse()
-            work[col] = [e * inv for e in work[col]]
-            aug[col] = [e * inv for e in aug[col]]
-            for r in range(dim):
-                if r != col and work[r][col]:
-                    f = work[r][col]
-                    work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        return RingMatrix(aug, RING_RATFUNC)
+        """Exact inverse over the fraction field; raises SingularMatrixError.
+
+        With det(x*I - A) = sum c_k x^(m-k), Cayley-Hamilton gives
+        A^-1 = -B / c_m for B = sum_{k<m} c_k A^(m-1-k), built by Horner's
+        rule.  Over the fraction field this runs on A' = D*A, and
+        A^-1 = A'^-1 * D.
+        """
+        if self.ring == RING_LAURENT:
+            rows, dens = self.rows, [ONE] * self.dim
+        else:
+            rows, dens = _scale_rows(self.rows)
+        coeffs = _berkowitz(rows)
+        last = coeffs[-1]
+        if not last:
+            raise SingularMatrixError("matrix is singular")
+        # Rows of B as {column: nonzero entry}, starting from c_0 * I = I.
+        b = [{i: ONE} for i in range(self.dim)]
+        nonzero = _nonzero_entries(rows)
+        for c in coeffs[1:-1]:
+            new = []
+            for i, pairs in enumerate(nonzero):
+                row = {i: c} if c else {}
+                for j, x in pairs:
+                    for col, y in b[j].items():
+                        prev = row.get(col)
+                        row[col] = x * y if prev is None else prev + x * y
+                new.append({col: e for col, e in row.items() if e})
+            b = new
+        zero = RatFunc(ZERO)
+        return RingMatrix(
+            [[RatFunc(-row[j] * d, last) if j in row else zero for j, d in enumerate(dens)]
+             for row in b],
+            RING_RATFUNC,
+        )
 
     def charpoly(self, var: str = "w") -> LaurentPoly:
         """det(A - var*I) = (-1)^dim * det(var*I - A), expanded in canonical form."""
@@ -300,10 +298,34 @@ class RingMatrix:
         return f"RingMatrix(dim={self.dim}, ring={self.ring!r})"
 
 
-def _dot(xs: Iterable[LaurentPoly], ys: Iterable[LaurentPoly]) -> LaurentPoly:
+def _scale_rows(rows: Sequence[Sequence[RatFunc]]) -> tuple[list[list[LaurentPoly]], list[LaurentPoly]]:
+    """Rows of D*A with polynomial entries, and the diagonal of D.
+
+    Each row is scaled by the product of its entries' denominators,
+    skipping one that already divides the product so far.
+    """
+    scaled, dens = [], []
+    for row in rows:
+        den = ONE
+        for e in row:
+            if not (e.den.is_one() or e.den.divides(den)):
+                den = den * e.den
+        scaled.append([e.num * (den if e.den.is_one() else den.exact_div(e.den))
+                       for e in row])
+        dens.append(den)
+    return scaled, dens
+
+
+def _nonzero_entries(rows: Sequence[Sequence[LaurentPoly]]) -> list[list[tuple[int, LaurentPoly]]]:
+    return [[(j, e) for j, e in enumerate(row) if e] for row in rows]
+
+
+def _sparse_dot(pairs: Iterable[tuple[int, LaurentPoly]], vec: Sequence[LaurentPoly]) -> LaurentPoly:
+    """Sum of x * vec[j] over the (j, x) pairs."""
     acc = ZERO
-    for x, y in zip(xs, ys):
-        if x and y:
+    for j, x in pairs:
+        y = vec[j]
+        if y:
             acc = acc + x * y
     return acc
 
@@ -315,22 +337,28 @@ def _berkowitz(rows: Sequence[Sequence[LaurentPoly]]) -> list[LaurentPoly]:
     into the corner a, the row r, the column c and the block S = A[k+1:, k+1:]
     (of size m), its characteristic polynomial is the Toeplitz product of
     (1, -a, -r.c, -r.S c, ..., -r.S^(m-1) c) with the one of S; the powers of
-    S are applied to c one matrix-vector product at a time.
+    S are applied to c one matrix-vector product at a time, over the nonzero
+    entries of each row only, and not at all when r or c is zero.
     """
     dim = len(rows)
+    nonzero = _nonzero_entries(rows)
     poly = [ONE, -rows[-1][-1]]
     for k in range(dim - 2, -1, -1):
-        block = [row[k + 1:] for row in rows[k + 1:]]
-        r = rows[k][k + 1:]
-        vec = [row[k] for row in rows[k + 1:]]
-        m = len(block)
-        s = [rows[k][k], _dot(r, vec)]
-        for _ in range(m - 1):
-            vec = [_dot(row, vec) for row in block]
-            s.append(_dot(r, vec))
+        m = dim - k - 1
+        r = [(j, e) for j, e in nonzero[k] if j > k]
+        # vec is indexed by column; its first k + 1 entries are never read.
+        vec = [ZERO] * (k + 1) + [row[k] for row in rows[k + 1:]]
+        s = [rows[k][k]] + [ZERO] * m
+        if r and any(vec):
+            block = [[(j, e) for j, e in nonzero[i] if j > k] for i in range(k + 1, dim)]
+            s[1] = _sparse_dot(r, vec)
+            for i in range(2, m + 1):
+                vec[k + 1:] = [_sparse_dot(row, vec) for row in block]
+                s[i] = _sparse_dot(r, vec)
+        s_nonzero = [(j, x) for j, x in enumerate(s) if x]
         new = [ONE]
         for i in range(1, m + 2):
-            acc = _dot(s[i - 1::-1], poly[:i])
+            acc = _sparse_dot([(i - 1 - j, x) for j, x in s_nonzero if j < i], poly)
             new.append(poly[i] - acc if i <= m else -acc)
         poly = new
     return poly

@@ -6,9 +6,11 @@ Conventions used throughout:
   matrices in word order.
 * The rank-m module of the Lawrence-Krammer-Bigelow (LKB) representation has
   basis v_{ij}, 1 <= i < j <= n, ordered lexicographically; m = n(n-1)/2.
-* Representation parameters may be left symbolic (variables u, v, a, b, c
-  from the ring registry) or pinned to exact rationals; a non-integer
-  rational forces matrices over the fraction field.
+* Representation parameters may be left symbolic (the ring variables u, v,
+  a, b, c) or pinned to exact rationals; a non-integer rational forces
+  matrices over the fraction field.
+* Each generator image is inverted once, when its B_n representation is
+  built; singular extensions reuse the inverses of their base.
 
 The exterior square of the Burau representation is built both from a direct
 six-case formula and functorially (2x2 minors of the Burau matrix); the two
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .braid import BraidWord, relation_set, sigma
 from .garside import NormalForm, nf_inverse, nf_mul, to_normal_form
@@ -89,24 +91,25 @@ class MatrixRep:
         return self.tau_image(i)
 
 
-def _finish_rep(name: str, n: int, sigmas: list[RingMatrix],
-                taus: list[RingMatrix] | None, ring: str) -> MatrixRep:
-    if ring == RING_RATFUNC:
-        sigmas = [m.to_ratfunc() for m in sigmas]
-        taus = [m.to_ratfunc() for m in taus] if taus is not None else None
-    inverses = []
-    for m in sigmas:
-        inv = m.inverse()
-        inverses.append(inv.as_laurent() if ring == RING_LAURENT else inv)
-    return MatrixRep(
-        name=name,
-        n=n,
-        dim=sigmas[0].dim,
-        ring=ring,
-        sigma_images=tuple(sigmas),
-        sigma_inv_images=tuple(inverses),
-        tau_images=tuple(taus) if taus is not None else None,
-    )
+def _finish_rep(name: str, n: int, sigmas: list[RingMatrix]) -> MatrixRep:
+    """A representation of B_n over the Laurent ring from its generator images."""
+    inverses = tuple(m.inverse().as_laurent() for m in sigmas)
+    return MatrixRep(name, n, sigmas[0].dim, RING_LAURENT, tuple(sigmas), inverses)
+
+
+def _extend(base: MatrixRep, name: str, taus: list[RingMatrix]) -> MatrixRep:
+    """base extended to SM_n by the singular images taus.
+
+    A rational parameter puts the taus over the fraction field; the crossing
+    images then move there too.
+    """
+    ring = RING_RATFUNC if any(m.ring == RING_RATFUNC for m in taus) else RING_LAURENT
+
+    def convert(images):
+        return tuple(m.to_ratfunc() if ring == RING_RATFUNC else m for m in images)
+
+    return MatrixRep(name, base.n, base.dim, ring, convert(base.sigma_images),
+                     convert(base.sigma_inv_images), convert(taus))
 
 
 # -- Burau ---------------------------------------------------------------------
@@ -124,36 +127,19 @@ def burau(n: int, var: str = "t") -> MatrixRep:
         rows[i][i - 1] = integer(1)
         rows[i][i] = integer(0)
         sigmas.append(RingMatrix(rows, RING_LAURENT))
-    return _finish_rep(f"burau[{var}]", n, sigmas, None, RING_LAURENT)
+    return _finish_rep(f"burau[{var}]", n, sigmas)
 
 
 def burau_ext(n: int, a: Param = None) -> MatrixRep:
-    """Burau extended to SM_n: the singular block is [[1-t+at, t-at], [1-a, a]]."""
+    """Burau extended to SM_n: the singular block is [[1-t+at, t-at], [1-a, a]].
+
+    That is, tau_i maps to (1 - a) * sigma_i-image + a * identity.
+    """
     base = burau(n, "t")
     av = _resolve_param(a, "a")
-    ring = RING_RATFUNC if isinstance(av, Fraction) else RING_LAURENT
-    t = variable("t")
-    one = integer(1)
-    if ring == RING_RATFUNC:
-        av = RatFunc.from_fraction(av)
-        t = RatFunc(t)
-        one = RatFunc(one)
-    taus = []
-    for i in range(1, n):
-        def entry(r: int, c: int, i: int = i):
-            if r == i - 1 and c == i - 1:
-                return 1 - t + av * t
-            if r == i - 1 and c == i:
-                return t - av * t
-            if r == i and c == i - 1:
-                return 1 - av
-            if r == i and c == i:
-                return av
-            return one if r == c else one - one
-
-        rows = [[entry(r, c) for c in range(n)] for r in range(n)]
-        taus.append(RingMatrix(rows, ring))
-    return _finish_rep("burau-ext", n, list(base.sigma_images), taus, ring)
+    ident = RingMatrix.identity(n)
+    taus = [m.scalar_mul(1 - av) + ident.scalar_mul(av) for m in base.sigma_images]
+    return _extend(base, "burau-ext", taus)
 
 
 # -- Lawrence-Krammer-Bigelow ----------------------------------------------------
@@ -195,7 +181,7 @@ def lkb(n: int) -> MatrixRep:
     if n < 2:
         raise ValueError("strand count must be at least 2")
     sigmas = [RingMatrix(_lkb_sigma_rows(n, i)) for i in range(1, n)]
-    return _finish_rep("lkb", n, sigmas, None, RING_LAURENT)
+    return _finish_rep("lkb", n, sigmas)
 
 
 def lkb_ext(n: int, u: Param = None, v: Param = None) -> MatrixRep:
@@ -203,10 +189,9 @@ def lkb_ext(n: int, u: Param = None, v: Param = None) -> MatrixRep:
     base = lkb(n)
     uv = _resolve_param(u, "u")
     vv = _resolve_param(v, "v")
-    ring = RING_RATFUNC if isinstance(uv, Fraction) or isinstance(vv, Fraction) else RING_LAURENT
     ident = RingMatrix.identity(base.dim)
     taus = [m.scalar_mul(uv) + ident.scalar_mul(vv) for m in base.sigma_images]
-    return _finish_rep("lkb-ext", n, list(base.sigma_images), taus, ring)
+    return _extend(base, "lkb-ext", taus)
 
 
 # -- exterior square of Burau -----------------------------------------------------
@@ -247,7 +232,7 @@ def exterior_square_burau(n: int) -> MatrixRep:
     if n < 2:
         raise ValueError("strand count must be at least 2")
     sigmas = [RingMatrix(_wedge_sigma_rows(n, i)) for i in range(1, n)]
-    return _finish_rep("wedge-burau", n, sigmas, None, RING_LAURENT)
+    return _finish_rep("wedge-burau", n, sigmas)
 
 
 def wedge_square(m: RingMatrix) -> RingMatrix:
@@ -304,20 +289,27 @@ class RelationReport:
         return f"{len(self.failures)} of {len(self.checks)} relations fail"
 
 
-def verify_relations(rep: MatrixRep) -> RelationReport:
-    """Check every defining relation instance symbolically; failures carry the difference."""
-    monoid = "SMn" if rep.has_tau else "Bn"
+def _verify(subject: str, n: int, monoid: str,
+            image: Callable[[BraidWord], object]) -> RelationReport:
+    """Push every defining relation through `image`; failures carry the difference.
+
+    `image` maps a word to a value with `-` and `is_zero()`.
+    """
     checks = []
-    for rel in relation_set(rep.n, monoid):
-        lhs = rep_apply(rep, rel.lhs)
-        rhs = rep_apply(rep, rel.rhs)
-        diff = lhs - rhs
+    for rel in relation_set(n, monoid):
+        diff = image(rel.lhs) - image(rel.rhs)
         ok = diff.is_zero()
         checks.append(
             RelationCheck(rel.label, str(rel.lhs), str(rel.rhs), ok,
                           None if ok else diff)
         )
-    return RelationReport(rep.name, monoid, tuple(checks))
+    return RelationReport(subject, monoid, tuple(checks))
+
+
+def verify_relations(rep: MatrixRep) -> RelationReport:
+    """Check every defining relation instance symbolically; failures carry the difference."""
+    return _verify(rep.name, rep.n, "SMn" if rep.has_tau else "Bn",
+                   lambda word: rep_apply(rep, word))
 
 
 # -- determinants of the singular images --------------------------------------------
@@ -492,17 +484,7 @@ def birman_image(word: BraidWord, a: Param = None, b: Param = None,
 def verify_group_algebra_relations(n: int, a: Param = None, b: Param = None,
                                    c: Param = None) -> RelationReport:
     """Push every SM_n relation through the group-algebra representation."""
-    checks = []
-    for rel in relation_set(n, "SMn"):
-        lhs = birman_image(rel.lhs, a, b, c)
-        rhs = birman_image(rel.rhs, a, b, c)
-        diff = lhs - rhs
-        ok = diff.is_zero()
-        checks.append(
-            RelationCheck(rel.label, str(rel.lhs), str(rel.rhs), ok,
-                          None if ok else diff)
-        )
-    return RelationReport("birman", "SMn", tuple(checks))
+    return _verify("birman", n, "SMn", lambda word: birman_image(word, a, b, c))
 
 
 def singular_extension_by_affine_combination(rep: MatrixRep, a: Param = None,
@@ -512,9 +494,6 @@ def singular_extension_by_affine_combination(rep: MatrixRep, a: Param = None,
     av = _resolve_param(a, "a")
     bv = _resolve_param(b, "b")
     cv = _resolve_param(c, "c")
-    ring = rep.ring
-    if any(isinstance(x, Fraction) for x in (av, bv, cv)):
-        ring = RING_RATFUNC
     ident = RingMatrix.identity(rep.dim, rep.ring)
     taus = [
         rep.sigma_images[i].scalar_mul(av)
@@ -522,7 +501,7 @@ def singular_extension_by_affine_combination(rep: MatrixRep, a: Param = None,
         + ident.scalar_mul(cv)
         for i in range(rep.n - 1)
     ]
-    return _finish_rep(rep.name + "+affine", rep.n, list(rep.sigma_images), taus, ring)
+    return _extend(rep, rep.name + "+affine", taus)
 
 
 # -- extension uniqueness at rational points -------------------------------------------
@@ -546,23 +525,6 @@ def _f_mul(a: FractRows, b: FractRows) -> FractRows:
         [sum(a[i][k] * b[k][j] for k in range(m)) for j in range(m)]
         for i in range(m)
     ]
-
-
-def _f_inverse(a: FractRows) -> FractRows:
-    m = len(a)
-    work = [row[:] + ident_row[:] for row, ident_row in zip(a, _f_identity(m))]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if work[r][col]), None)
-        if pivot is None:
-            raise DegeneratePointError("matrix not invertible at this point")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(m):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[m:] for row in work]
 
 
 def _rref(rows: FractRows) -> tuple[FractRows, list[int]]:
@@ -628,8 +590,14 @@ def solve_extension_space(n: int, point: Mapping[str, Fraction | int]) -> Extens
     """Exact rational solution space of the extension constraints at a point."""
     if n not in (3, 4):
         raise ValueError("supported strand counts are 3 and 4")
-    qv = Fraction(point.get("q", 0))
-    tv = Fraction(point.get("t", 0))
+    missing = sorted({"q", "t"} - point.keys())
+    if missing:
+        raise ValueError(f"the point has no value for {', '.join(missing)}")
+    unknown = sorted(point.keys() - {"q", "t"})
+    if unknown:
+        raise ValueError(f"unknown coordinate {', '.join(unknown)}; the point takes q and t")
+    qv = Fraction(point["q"])
+    tv = Fraction(point["t"])
     if qv in (0, 1, -1):
         raise DegeneratePointError(f"q = {qv} is degenerate")
     if tv == 0:
@@ -640,13 +608,15 @@ def solve_extension_space(n: int, point: Mapping[str, Fraction | int]) -> Extens
     S = [None] + [
         [list(row) for row in rep.sigma_image(i).evaluate(pt)] for i in range(1, n)
     ]
+    S_inv = [None] + [
+        [list(row) for row in rep.sigma_inv_image(i).evaluate(pt)] for i in range(1, n)
+    ]
     # T_i = A_i X B_i with A_1 = B_1 = I and T_{i+1} = (S_i S_{i+1}) T_i (S_i S_{i+1})^-1.
     A = [None, _f_identity(m)]
     B = [None, _f_identity(m)]
     for i in range(1, n - 1):
-        C = _f_mul(S[i], S[i + 1])
-        A.append(_f_mul(C, A[i]))
-        B.append(_f_mul(B[i], _f_inverse(C)))
+        A.append(_f_mul(_f_mul(S[i], S[i + 1]), A[i]))
+        B.append(_f_mul(B[i], _f_mul(S_inv[i + 1], S_inv[i])))
     constraints: list[tuple[int, FractRows]] = []
     for i in range(1, n):
         constraints.append((i, S[i]))

@@ -1,13 +1,13 @@
 """Exact arithmetic for multivariate Laurent polynomials over Z and their fractions.
 
 A polynomial is a sparse map from exponent vectors to nonzero integer
-coefficients.  Exponent vectors are tuples indexed by the variable registry
-(q, t, w, u, v, a, b, c, in order of precedence), trimmed of trailing zeros
+coefficients.  Exponent vectors are tuples indexed by the fixed variable
+order q t w u v a b c (in order of precedence), trimmed of trailing zeros
 so that equal monomials always have identical keys.  Negative exponents are
 allowed everywhere except in fraction denominators.
 
 The canonical term order is graded lexicographic: higher total degree first,
-ties broken variable by variable in registry order.  Canonical strings list
+ties broken variable by variable in that order.  Canonical strings list
 terms in descending order, which makes the printed form unique per value.
 
 RatFunc values are fully reduced fractions: the numerator is any Laurent
@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 
 Mono = tuple[int, ...]
 
-_VAR_NAMES: list[str] = ["q", "t", "w", "u", "v", "a", "b", "c"]
+_VAR_NAMES = ("q", "t", "w", "u", "v", "a", "b", "c")
 _VAR_INDEX: dict[str, int] = {name: i for i, name in enumerate(_VAR_NAMES)}
 
 
@@ -42,22 +42,9 @@ class ParseError(ValueError):
         self.position = position
 
 
-def register_variable(name: str) -> None:
-    """Append a new variable with lowest precedence to the registry."""
-    if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", name):
-        raise ValueError(f"invalid variable name {name!r}")
-    if name not in _VAR_INDEX:
-        _VAR_INDEX[name] = len(_VAR_NAMES)
-        _VAR_NAMES.append(name)
-
-
-def variable_names() -> tuple[str, ...]:
-    return tuple(_VAR_NAMES)
-
-
 # -- monomial helpers --------------------------------------------------------
 #
-# A monomial is a tuple of exponents by registry index with trailing zeros
+# A monomial is a tuple of exponents by variable index with trailing zeros
 # trimmed, so () is the constant monomial and (0, 2) is t^2.
 
 def _trim(exps: list[int]) -> Mono:
@@ -190,13 +177,6 @@ class LaurentPoly:
             return self
         return LaurentPoly({_mono_mul(m, mono): c for m, c in self.terms.items()})
 
-    def int_scale(self, k: int) -> LaurentPoly:
-        if k == 0:
-            return ZERO
-        if k == 1:
-            return self
-        return LaurentPoly({m: c * k for m, c in self.terms.items()})
-
     def int_div(self, k: int) -> LaurentPoly:
         """Divide every coefficient by k, which must divide exactly."""
         out = {}
@@ -248,6 +228,9 @@ class LaurentPoly:
             return ZERO
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1 and () in a:
+            k = a[()]
+            return LaurentPoly({m: k * c for m, c in b.items()})
         out: dict[Mono, int] = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
@@ -348,8 +331,12 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
+        # A constant hashes as its int, since it compares equal to it.
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            if self.is_constant():
+                self._hash = hash(self.terms.get((), 0))
+            else:
+                self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
     def __bool__(self):
@@ -705,6 +692,9 @@ class RatFunc:
         return NotImplemented
 
     def __hash__(self):
+        # Equal to its numerator when the denominator is 1, so hash alike.
+        if self.den.is_one():
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __bool__(self):

@@ -26,9 +26,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping
 
-from .braid import BraidWord, relation_set
+from .braid import BraidWord
 from .matrix import RingMatrix
-from .reps import Param, RelationCheck, RelationReport, _resolve_param
+from .reps import Param, RelationReport, _resolve_param, _verify
 from .ring import LaurentPoly, integer, variable
 
 # Loop scalar of the algebra, fixed by the square of a generator.
@@ -303,15 +303,7 @@ def tl_rho(n: int, word: BraidWord, a: Param = None, b: Param = None) -> TLElem:
 
 def verify_tl_relations(n: int, a: Param = None, b: Param = None) -> RelationReport:
     """Push every SM_n defining relation through the algebra map."""
-    checks = []
-    for rel in relation_set(n, "SMn"):
-        lhs = tl_rho(n, rel.lhs, a, b)
-        rhs = tl_rho(n, rel.rhs, a, b)
-        diff = lhs - rhs
-        ok = diff.is_zero()
-        checks.append(RelationCheck(rel.label, str(rel.lhs), str(rel.rhs), ok,
-                                    None if ok else diff))
-    return RelationReport("tl-rho", "SMn", tuple(checks))
+    return _verify("tl-rho", n, "SMn", lambda word: tl_rho(n, word, a, b))
 
 
 @dataclass(frozen=True)

@@ -192,3 +192,30 @@ def test_markov_negative_bounds_rejected(capsys):
     assert code == 2 and out == "" and "depth" in err
     code, out, err = run(capsys, "markov", "--n", "2", "--word", "1", "--max-len", "-1")
     assert code == 2 and out == "" and "max_word_length" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--rep", "lkb", "--n", "3", "--param", "zz=sym"),
+    ("verify", "--rep", "burau", "--n", "3", "--param", "a=1/2"),
+    ("verify", "--rep", "lkb-ext", "--n", "3", "--param", "a=1"),
+    ("rep", "--rep", "burau-ext", "--n", "2", "--word", "t1", "--param", "u=2"),
+    ("tl", "--n", "2", "--word", "t1", "--param", "c=1"),
+    ("birman", "--n", "2", "--word", "t1", "--param", "u=1"),
+    ("verify", "--rep", "burau-ext", "--n", "3", "--param", "a=1/2", "--param", "a=sym"),
+])
+def test_unknown_or_repeated_param_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "parameter" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("point,message", [
+    ("q=2", "no value for t"),
+    ("t=3", "no value for q"),
+    ("q=2,t=3,x=5", "unknown coordinate x"),
+    ("q=2,t=3,q=5", "'q' given twice"),
+])
+def test_solve_ext_point_names(capsys, point, message):
+    code, out, err = run(capsys, "solve-ext", "--n", "3", "--point", point)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err and err.count("\n") == 1

@@ -5,8 +5,8 @@ import pytest
 
 from braidrep.braid import BraidWord
 from braidrep.matrix import RingMatrix, SingularMatrixError
-from braidrep.reps import lkb, rep_apply
-from braidrep.ring import RatFunc, variable
+from braidrep.reps import exterior_square_burau, lkb, rep_apply
+from braidrep.ring import RatFunc, integer, variable
 from conftest import rand_poly
 
 q = variable("q")
@@ -20,6 +20,16 @@ LKB3_SIGMA1 = RingMatrix(
 )
 LKB3_SIGMA2 = RingMatrix(
     [[1 - q, q, q * (q - 1)], [1, 0, 0], [0, 0, t * q ** 2]]
+)
+# Dense, with row denominators that do not divide each other (q + 1 and
+# t + 1 in the first row).
+MIXED_DENOMINATORS = RingMatrix(
+    [
+        [RatFunc(1, q + 1), RatFunc(1, t + 1), RatFunc(q, (q + 1) * (t + 1))],
+        [RatFunc(q, q - t), RatFunc(1), RatFunc(t)],
+        [RatFunc(1), RatFunc(1, q + 2), RatFunc(2)],
+    ],
+    "ratfunc",
 )
 
 
@@ -75,15 +85,35 @@ def test_bareiss_and_cofactor_agree():
 
 
 def test_inverse():
-    inv = LKB3_SIGMA1.inverse()
     ident = RingMatrix.identity(3, "ratfunc")
-    assert LKB3_SIGMA1.to_ratfunc() * inv == ident
-    assert inv * LKB3_SIGMA1.to_ratfunc() == ident
+    for m in (LKB3_SIGMA1, MIXED_DENOMINATORS):
+        inv = m.inverse()
+        assert m * inv == ident
+        assert inv * m == ident
     # determinant is a unit, so the inverse stays Laurent
-    assert all(e.is_laurent() for row in inv.rows for e in row)
+    assert all(e.is_laurent() for row in LKB3_SIGMA1.inverse().rows for e in row)
     assert RingMatrix.identity(3).inverse() == ident
-    with pytest.raises(SingularMatrixError):
-        RingMatrix.zero(3).inverse()
+    assert RingMatrix([[q]]).inverse() == RingMatrix([[RatFunc(1, q)]])
+    rank_one = RingMatrix([[q, 1], [q ** 2, q]])
+    for singular in (RingMatrix.zero(3), rank_one, rank_one.to_ratfunc()):
+        with pytest.raises(SingularMatrixError):
+            singular.inverse()
+
+
+def test_inverse_of_word_images():
+    rng = random.Random(5)
+    for make in (lkb, exterior_square_burau):
+        for n in (3, 4):
+            rep = make(n)
+            ident = RingMatrix.identity(rep.dim)
+            for _ in range(3):
+                word = BraidWord(
+                    n, tuple((rng.randint(1, n - 1), rng.choice((1, -1)))
+                             for _ in range(rng.randint(1, 5)))
+                )
+                image = rep_apply(rep, word)
+                assert image * image.inverse() == ident
+                assert image.inverse() == rep_apply(rep, word.inverse())
 
 
 def test_inverse_of_wedge_generator():
@@ -108,17 +138,7 @@ def test_ratfunc_det_with_mixed_row_denominators():
     # the other) and over q^2 - 1, so rows carry different denominators.
     a = RingMatrix([[q + 2, 1, 0], [0, q, 1], [0, 1, q]])
     assert a.inverse().det() == RatFunc(1) / a.det()
-    # In the first row of m the denominators q + 1 and t + 1 do not divide
-    # each other.
-    one = RatFunc(1)
-    m = RingMatrix(
-        [
-            [RatFunc(1, q + 1), RatFunc(1, t + 1), RatFunc(q, (q + 1) * (t + 1))],
-            [RatFunc(q, q - t), one, RatFunc(t)],
-            [one, RatFunc(1, q + 2), RatFunc(2)],
-        ],
-        "ratfunc",
-    )
+    m = MIXED_DENOMINATORS
     (a, b, c), (d, e, f), (g, h, i) = m.rows
     assert m.det() == a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
@@ -133,11 +153,14 @@ def test_det_and_charpoly_match_sympy_on_lkb_images():
 
     for n in (3, 4):
         rep = lkb(n)
-        for _ in range(3):
-            word = BraidWord(
-                n, tuple((rng.randint(1, n - 1), rng.choice((1, -1)))
-                         for _ in range(rng.randint(1, 4)))
-            )
+        words = [
+            BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1)))
+                               for _ in range(rng.randint(1, 4))))
+            for _ in range(3)
+        ]
+        # Single letters give the sparse generator images and their inverses.
+        words += [BraidWord(n, ((i, s),)) for i in range(1, n) for s in (1, -1)]
+        for word in words:
             image = rep_apply(rep, word)
             cp, det, dim = image.charpoly(), image.det(), image.dim
             point = {"q": Fraction(rng.randint(2, 9), rng.randint(1, 5)),
@@ -235,6 +258,19 @@ def test_json_round_trip():
     assert RingMatrix.from_json(rat.to_json()) == rat
     data = LKB3_SIGMA1.to_json_dict()
     assert data["dim"] == 3 and data["ring"] == "laurent"
+
+
+def test_equal_values_hash_alike():
+    pairs = [
+        (RingMatrix.identity(2), RingMatrix.identity(2).to_ratfunc()),
+        (integer(3), 3),
+        (integer(0), 0),
+        (RatFunc(q + 1), q + 1),
+    ]
+    for a, b in pairs:
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
 
 
 def test_dimension_mismatch_rejected():

@@ -193,6 +193,23 @@ def test_lkb_ext_rational_parameters():
     rep = lkb_ext(3, Fraction(1, 2), Fraction(2, 3))
     assert rep.ring == "ratfunc"
     assert verify_relations(rep).all_ok
+    assert lkb_ext(3, Fraction(1, 2)).sigma_inv_images == lkb(3).sigma_inv_images
+
+
+def test_each_generator_inverted_once(monkeypatch):
+    calls = []
+    inverse = RingMatrix.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(RingMatrix, "inverse", counting)
+    for build in (lkb, lkb_ext, exterior_square_burau, burau_ext,
+                  lambda n: singular_extension_by_affine_combination(burau(n))):
+        calls.clear()
+        build(4)
+        assert len(calls) == 3
 
 
 def test_rep_apply_homomorphism():
@@ -441,3 +458,7 @@ def test_degenerate_points_rejected():
             solve_extension_space(3, bad)
     with pytest.raises(ValueError):
         solve_extension_space(5, {"q": 2, "t": 3})
+    with pytest.raises(ValueError, match="no value for t"):
+        solve_extension_space(3, {"q": 2})
+    with pytest.raises(ValueError, match="unknown coordinate x"):
+        solve_extension_space(3, {"q": 2, "t": 3, "x": 5})
