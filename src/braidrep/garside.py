@@ -11,9 +11,19 @@ Delta and every adjacent pair (f_k, f_{k+1}) is left-weighted: each generator
 that starts f_{k+1} also finishes f_k.  Equal braids have identical normal
 forms, so the form is usable as a dictionary key, e.g. for group algebras.
 
-Negative letters enter through sigma_i^-1 = Delta^-1 * (Delta sigma_i^-1);
-moving Delta^-1 to the front twists earlier factors by the flip automorphism
-x -> Delta x Delta^-1.
+Every form is built by right multiplication by one simple factor g at a time
+(Elrifai & Morton 1994; Epstein et al., Word Processing in Groups, ch. 9):
+append g and left-weight the pairs (f_k, f_{k+1}) from right to left, stopping
+at the first pair that already is, since no factor to its left has changed.
+Then only the last factor can be trivial (it is dropped) and only the first
+can be Delta (folded into inf), since x <= xg <= x Delta.  A word costs one
+such pass per letter.
+
+A letter sigma_i^-1 is Delta^-1 * (Delta sigma_i^-1).  Moving that Delta^-1
+to the front would flip every earlier factor by x -> Delta x Delta^-1; a
+parity records the flip instead, and new factors are stored in the flipped
+frame.  The flip is an automorphism, so left-weightedness holds in either
+frame, and the parity is applied once, to the finished form.
 """
 
 from __future__ import annotations
@@ -64,23 +74,58 @@ def finishing_set(p: Perm) -> frozenset[int]:
     return starting_set(perm_inverse(p))
 
 
-def _conj_delta(p: Perm) -> Perm:
+def _flip(p: Perm) -> Perm:
+    """The flip automorphism x -> Delta x Delta^-1 on a simple factor."""
     d = perm_delta(len(p))
     return tuple(d[p[d[i]]] for i in range(len(p)))
 
 
-def _left_weight_pair(a: Perm, b: Perm) -> tuple[Perm, Perm, bool]:
-    """Slide generators from the front of b to the back of a until left-weighted."""
-    n = len(a)
-    changed = False
-    while True:
-        movable = starting_set(b) - finishing_set(a)
-        if not movable:
-            return a, b, changed
-        t = perm_transposition(n, min(movable))
-        a = perm_mult(a, t)
-        b = perm_mult(t, b)
-        changed = True
+def _left_weight_pair(a: Perm, b: Perm) -> tuple[Perm, Perm] | None:
+    """Slide generators from the front of b to the back of a until the pair is
+    left-weighted; None if it already was.  sigma_{i+1} can slide when it
+    starts b (b[i] > b[i+1]) but does not finish a (a^-1[i] < a^-1[i+1]).
+    Sliding swaps positions i, i+1 of both a^-1 and b, which can change that
+    test only at i - 1 and i + 1."""
+    ai, bl = list(perm_inverse(a)), list(b)
+    last = len(bl) - 2
+    todo = [i for i in range(last + 1) if bl[i] > bl[i + 1] and ai[i] < ai[i + 1]]
+    if not todo:
+        return None
+    while todo:
+        i = todo.pop()
+        if 0 <= i <= last and bl[i] > bl[i + 1] and ai[i] < ai[i + 1]:
+            bl[i], bl[i + 1] = bl[i + 1], bl[i]
+            ai[i], ai[i + 1] = ai[i + 1], ai[i]
+            todo += (i - 1, i + 1)
+    return perm_inverse(ai), tuple(bl)
+
+
+def _right_multiply(n: int, inf: int, factors: tuple[Perm, ...],
+                    steps: list[tuple[int, Perm]]) -> NormalForm:
+    """Normal form of Delta^inf * factors * (Delta^k * g for each (k, g) in steps),
+    where Delta^inf * factors is a normal form and every g is simple."""
+    ident, delta = perm_identity(n), perm_delta(n)
+    out = list(factors)
+    flip = 0
+    for k, g in steps:
+        inf += k
+        flip ^= k & 1
+        out.append(_flip(g) if flip else g)
+        j = len(out) - 1
+        while j:
+            pair = _left_weight_pair(out[j - 1], out[j])
+            if pair is None:
+                break
+            out[j - 1], out[j] = pair
+            j -= 1
+        if out[-1] == ident:
+            out.pop()
+        if out and out[0] == delta:
+            del out[0]
+            inf += 1
+    if flip:
+        out = [_flip(f) for f in out]
+    return NormalForm(n, inf, tuple(out))
 
 
 @dataclass(frozen=True, order=True)
@@ -108,74 +153,31 @@ class NormalForm:
         return " | ".join(parts)
 
 
-def _normalize(n: int, inf: int, factors: list[Perm]) -> NormalForm:
-    ident = perm_identity(n)
-    delta = perm_delta(n)
-    factors = [f for f in factors if f != ident]
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(factors):
-            if factors[i] == delta:
-                for j in range(i):
-                    factors[j] = _conj_delta(factors[j])
-                factors.pop(i)
-                inf += 1
-                changed = True
-            elif factors[i] == ident:
-                factors.pop(i)
-                changed = True
-            else:
-                i += 1
-        for k in range(len(factors) - 1):
-            a, b, moved = _left_weight_pair(factors[k], factors[k + 1])
-            if moved:
-                factors[k], factors[k + 1] = a, b
-                changed = True
-    return NormalForm(n, inf, tuple(factors))
-
-
 def to_normal_form(word: BraidWord) -> NormalForm:
     """Left-greedy normal form of a classical braid word."""
     if not word.is_classical:
         raise ValueError("normal forms are defined for classical words only")
-    n = word.n
-    delta = perm_delta(n)
-    inf = 0
-    factors: list[Perm] = []
+    n, delta = word.n, perm_delta(word.n)
+    steps = []
     for i, s in word.letters:
         t = perm_transposition(n, i)
-        if s > 0:
-            factors.append(t)
-        else:
-            inf -= 1
-            factors = [_conj_delta(f) for f in factors]
-            factors.append(perm_mult(delta, t))
-    return _normalize(n, inf, factors)
+        # sigma_i^-1 = Delta^-1 * (Delta sigma_i^-1)
+        steps.append((0, t) if s > 0 else (-1, perm_mult(delta, t)))
+    return _right_multiply(n, 0, (), steps)
 
 
 def nf_mul(x: NormalForm, y: NormalForm) -> NormalForm:
     if x.n != y.n:
         raise ValueError("strand count mismatch")
-    xf = list(x.factors)
-    if y.inf % 2:
-        xf = [_conj_delta(f) for f in xf]
-    return _normalize(x.n, x.inf + y.inf, xf + list(y.factors))
+    steps = [(y.inf, perm_identity(x.n))] + [(0, f) for f in y.factors]
+    return _right_multiply(x.n, x.inf, x.factors, steps)
 
 
 def nf_inverse(x: NormalForm) -> NormalForm:
-    """Inverse braid: each factor f becomes Delta^-1 * (Delta f^-1)."""
+    """Inverse braid: each factor f, last first, becomes Delta^-1 * (Delta f^-1)."""
     delta = perm_delta(x.n)
-    factors = [perm_mult(delta, perm_inverse(f)) for f in reversed(x.factors)]
-    k = len(factors)
-    inf = -x.inf - k
-    # Moving the Delta^-1 powers to the front twists by alternating flips.
-    out = []
-    for idx, f in enumerate(factors):
-        shift = x.inf + k - idx - 1
-        out.append(_conj_delta(f) if shift % 2 else f)
-    return _normalize(x.n, inf, out)
+    steps = [(-1, perm_mult(delta, perm_inverse(f))) for f in reversed(x.factors)]
+    return _right_multiply(x.n, 0, (), steps + [(-x.inf, perm_identity(x.n))])
 
 
 def nf_equal(x: BraidWord | NormalForm, y: BraidWord | NormalForm) -> bool:
@@ -189,12 +191,6 @@ def nf_equal(x: BraidWord | NormalForm, y: BraidWord | NormalForm) -> bool:
 
 def is_left_weighted(x: NormalForm) -> bool:
     """Check the defining condition on every adjacent factor pair."""
-    ident = perm_identity(x.n)
-    delta = perm_delta(x.n)
-    for f in x.factors:
-        if f == ident or f == delta:
-            return False
-    return all(
-        starting_set(x.factors[k + 1]) <= finishing_set(x.factors[k])
-        for k in range(len(x.factors) - 1)
-    )
+    ident, delta = perm_identity(x.n), perm_delta(x.n)
+    return all(f != ident and f != delta for f in x.factors) and all(
+        starting_set(b) <= finishing_set(a) for a, b in zip(x.factors, x.factors[1:]))

@@ -42,6 +42,8 @@ class MarkovBounds:
     def __post_init__(self):
         if self.depth < 0 or self.max_word_length < 0:
             raise ValueError("Markov bounds depth and max_word_length must be nonnegative")
+        if self.max_strands < 2:
+            raise ValueError("Markov bound max_strands must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,8 @@ def enumerate_markov_class(seed: BraidWord, bounds: MarkovBounds) -> MarkovClass
     """Breadth-first closure of the seed under Markov moves, within bounds."""
     if not seed.is_classical:
         raise ValueError("Markov moves apply to classical words only")
+    if seed.n > bounds.max_strands or len(seed) > bounds.max_word_length:
+        raise ValueError("the seed exceeds max_strands or max_word_length")
     seen = {(seed.n, to_normal_form(seed))}
     witnesses: dict[str, BraidWord] = {}
     # Queue items carry the polynomial key, or None where it is still unknown.

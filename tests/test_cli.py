@@ -194,6 +194,13 @@ def test_markov_negative_bounds_rejected(capsys):
     assert code == 2 and out == "" and "max_word_length" in err
 
 
+@pytest.mark.parametrize("max_strands", ["-1", "1", "2"])
+def test_markov_max_strands_below_seed_rejected(capsys, max_strands):
+    code, out, err = run(capsys, "markov", "--n", "3", "--word", "1", "--max-strands", max_strands)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "max_strands" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--rep", "lkb", "--n", "3", "--param", "zz=sym"),
     ("verify", "--rep", "burau", "--n", "3", "--param", "a=1/2"),

@@ -11,6 +11,9 @@ from braidrep.garside import (
     nf_inverse,
     nf_mul,
     perm_delta,
+    perm_inverse,
+    perm_mult,
+    perm_transposition,
     starting_set,
     to_normal_form,
 )
@@ -109,3 +112,168 @@ def test_word_problem_against_faithful_representation():
 def test_normal_form_text():
     nf = to_normal_form(B(4, "1 3"))
     assert str(nf) == "D^0 | 2 1 4 3"
+
+
+# -- reference: the global fixpoint normalisation the library used to run -------
+#
+# Slow but simple: a word becomes one factor per letter (every earlier factor
+# flipped by Delta at each negative letter), then sweeps fold Delta factors,
+# drop trivial ones and left-weight every adjacent pair until nothing moves.
+
+
+def _ref_flip(p):
+    d = perm_delta(len(p))
+    return tuple(d[p[d[i]]] for i in range(len(p)))
+
+
+def _ref_left_weight_pair(a, b):
+    n = len(a)
+    changed = False
+    while True:
+        movable = starting_set(b) - finishing_set(a)
+        if not movable:
+            return a, b, changed
+        t = perm_transposition(n, min(movable))
+        a = perm_mult(a, t)
+        b = perm_mult(t, b)
+        changed = True
+
+
+def _ref_normalize(n, inf, factors):
+    ident = tuple(range(n))
+    delta = perm_delta(n)
+    factors = [f for f in factors if f != ident]
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(factors):
+            if factors[i] == delta:
+                for j in range(i):
+                    factors[j] = _ref_flip(factors[j])
+                factors.pop(i)
+                inf += 1
+                changed = True
+            elif factors[i] == ident:
+                factors.pop(i)
+                changed = True
+            else:
+                i += 1
+        for k in range(len(factors) - 1):
+            a, b, moved = _ref_left_weight_pair(factors[k], factors[k + 1])
+            if moved:
+                factors[k], factors[k + 1] = a, b
+                changed = True
+    return NormalForm(n, inf, tuple(factors))
+
+
+def _ref_normal_form(word):
+    n = word.n
+    delta = perm_delta(n)
+    inf = 0
+    factors = []
+    for i, s in word.letters:
+        t = perm_transposition(n, i)
+        if s > 0:
+            factors.append(t)
+        else:
+            inf -= 1
+            factors = [_ref_flip(f) for f in factors]
+            factors.append(perm_mult(delta, t))
+    return _ref_normalize(n, inf, factors)
+
+
+def _ref_mul(x, y):
+    xf = [_ref_flip(f) for f in x.factors] if y.inf % 2 else list(x.factors)
+    return _ref_normalize(x.n, x.inf + y.inf, xf + list(y.factors))
+
+
+def _ref_inverse(x):
+    delta = perm_delta(x.n)
+    factors = [perm_mult(delta, perm_inverse(f)) for f in reversed(x.factors)]
+    k = len(factors)
+    out = [_ref_flip(f) if (x.inf + k - idx - 1) % 2 else f for idx, f in enumerate(factors)]
+    return _ref_normalize(x.n, -x.inf - k, out)
+
+
+def test_agrees_with_fixpoint_reference():
+    rng = random.Random(2024)
+    for n in range(2, 9):
+        for length in (0, 1, 2, 7, 15, 30, 45, 60) * 2:
+            x = rand_classical_word(rng, n, length)
+            y = rand_classical_word(rng, n, rng.randint(0, 30))
+            nx, ny = to_normal_form(x), to_normal_form(y)
+            assert nx == _ref_normal_form(x), (n, x.text())
+            assert ny == _ref_normal_form(y), (n, y.text())
+            assert nf_mul(nx, ny) == _ref_mul(nx, ny), (n, x.text(), y.text())
+            assert nf_inverse(nx) == _ref_inverse(nx), (n, x.text())
+
+
+# -- long words, at the shapes the word-problem benchmark uses --------------------
+
+
+def _positive_word(p):
+    """A positive word for the permutation braid of p: peel off a starting
+    generator until nothing is left."""
+    p, letters = list(p), []
+    while True:
+        i = next((i for i in range(len(p) - 1) if p[i] > p[i + 1]), None)
+        if i is None:
+            return letters
+        letters.append((i + 1, 1))
+        p[i], p[i + 1] = p[i + 1], p[i]
+
+
+def _expand(nf):
+    """A word for Delta^inf * f_1 ... f_s."""
+    delta = _positive_word(perm_delta(nf.n))
+    if nf.inf >= 0:
+        letters = delta * nf.inf
+    else:
+        letters = [(i, -s) for i, s in reversed(delta)] * -nf.inf
+    for f in nf.factors:
+        letters += _positive_word(f)
+    return BraidWord(nf.n, tuple(letters))
+
+
+def _rewrite(rng, word, moves):
+    """An equal word: insert cancelling pairs and conjugated braid relators,
+    and swap adjacent far-apart letters."""
+    n, letters = word.n, list(word.letters)
+    for _ in range(moves):
+        k = rng.randint(0, len(letters))
+        i = rng.randint(1, n - 1)
+        kind = rng.randrange(3)
+        if kind == 0:
+            s = rng.choice((1, -1))
+            letters[k:k] = [(i, s), (i, -s)]
+        elif kind == 1 and n >= 3:
+            i = min(i, n - 2)
+            rel = [(i, 1), (i + 1, 1), (i, 1), (i + 1, -1), (i, -1), (i + 1, -1)]
+            letters[k:k] = rel if rng.random() < 0.5 else [(j, -s) for j, s in reversed(rel)]
+        elif 0 < k < len(letters) and abs(letters[k - 1][0] - letters[k][0]) >= 2:
+            letters[k - 1], letters[k] = letters[k], letters[k - 1]
+    return BraidWord(n, tuple(letters))
+
+
+@pytest.mark.parametrize("n,length", [(4, 200), (8, 120)])
+def test_long_words_at_benchmark_shapes(n, length):
+    rng = random.Random(n * 1000 + length)
+    for _ in range(3):
+        word = rand_classical_word(rng, n, length)
+        nf = to_normal_form(word)
+        assert is_left_weighted(nf)
+        same = to_normal_form(_rewrite(rng, word, 40))
+        assert str(same) == str(nf)
+        k = rng.randrange(length)
+        i, s = word.letters[k]
+        near = word.letters[:k] + ((i, -s),) + word.letters[k + 1:]
+        assert to_normal_form(BraidWord(n, near)) != nf
+
+
+def test_round_trip_through_expanded_word():
+    rng = random.Random(88)
+    for _ in range(4):
+        nf = to_normal_form(rand_classical_word(rng, 8, 200))
+        assert nf.canonical_length() > 10
+        assert to_normal_form(_expand(nf)) == nf

@@ -182,3 +182,14 @@ def test_markov_bounds_reject_negative_values():
         MarkovBounds(-1, 3, 8)
     with pytest.raises(ValueError):
         MarkovBounds(1, 3, -1)
+    for max_strands in (-1, 0, 1):
+        with pytest.raises(ValueError, match="max_strands"):
+            MarkovBounds(1, max_strands, 8)
+
+
+def test_markov_seed_must_lie_within_bounds():
+    with pytest.raises(ValueError, match="max_strands"):
+        enumerate_markov_class(B(3, "1"), MarkovBounds(1, 2, 8))
+    with pytest.raises(ValueError, match="max_word_length"):
+        enumerate_markov_class(B(3, "1 2 1"), MarkovBounds(1, 3, 2))
+    assert enumerate_markov_class(B(3, "1 2"), MarkovBounds(0, 3, 2)).polys
