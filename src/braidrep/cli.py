@@ -43,6 +43,9 @@ PARAM_NAMES = {
     "burau": (), "burau-ext": ("a",), "lkb": (), "lkb-ext": ("u", "v"),
     "wedge-burau": (), "birman": ("a", "b", "c"), "tl": ("a", "b"),
 }
+# The largest strand count of a command that builds a matrix representation
+# (LKB matrices have n(n-1)/2 rows): charpoly --n 9 on "1 2 ... 8" takes seconds.
+MAX_MATRIX_STRANDS = 9
 
 
 class UsageError(ValueError):
@@ -73,7 +76,14 @@ def _parse_params(items: list[str] | None, subject: str) -> dict[str, object]:
     return params
 
 
+def _check_matrix_strands(n: int, flag: str = "--n") -> None:
+    if n > MAX_MATRIX_STRANDS:
+        raise UsageError(f"{flag} {n} exceeds {MAX_MATRIX_STRANDS}, the most strands "
+                         "a matrix representation is built for")
+
+
 def _build_rep(name: str, n: int, params: dict[str, object]) -> MatrixRep:
+    _check_matrix_strands(n)
     if name == "burau":
         return burau(n)
     if name == "burau-ext":
@@ -136,6 +146,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_charpoly(args) -> int:
+    _check_matrix_strands(args.n)
     word = BraidWord.parse(args.n, args.word)
     value = charpoly_invariant(args.n, word)
     data = {"n": args.n, "word": args.word, "poly": str(value)}
@@ -144,6 +155,8 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_markov(args) -> int:
+    _check_matrix_strands(args.n)
+    _check_matrix_strands(args.max_strands, "--max-strands")
     word = BraidWord.parse(args.n, args.word)
     bounds = MarkovBounds(
         depth=args.depth, max_strands=args.max_strands, max_word_length=args.max_len
@@ -171,6 +184,7 @@ def cmd_markov(args) -> int:
 
 
 def cmd_defect(args) -> int:
+    _check_matrix_strands(args.n)
     word = BraidWord.parse(args.n, args.word)
     result = defect(args.n, word)
     data = {
@@ -229,6 +243,7 @@ def cmd_solve_ext(args) -> int:
 
 
 def cmd_det_tau(args) -> int:
+    _check_matrix_strands(args.n)
     det = det_tau_symbolic(args.n)
     data: dict = {"n": args.n, "det": canonical_string(det)}
     lines = [canonical_string(det)]

@@ -346,7 +346,7 @@ def det_tau_b4_diff() -> dict:
         "reference": REFERENCE_DET_TAU_B4,
         "diff": diff,
         "only_u6_terms": all(
-            mono[3] == 6 if len(mono) > 3 else False for mono in diff.terms
+            mono[3] == 6 if len(mono) > 3 else False for mono in diff.exponent_terms()
         ),
     }
 

@@ -1,14 +1,23 @@
 """Exact arithmetic for multivariate Laurent polynomials over Z and their fractions.
 
-A polynomial is a sparse map from exponent vectors to nonzero integer
-coefficients.  Exponent vectors are tuples indexed by the fixed variable
-order q t w u v a b c (in order of precedence), trimmed of trailing zeros
-so that equal monomials always have identical keys.  Negative exponents are
-allowed everywhere except in fraction denominators.
+A polynomial is a sparse map from monomials to nonzero integer coefficients.
+The variables are fixed, in the order q t w u v a b c (in order of
+precedence), and a monomial is one packed int of nine 32-bit fields: the
+total degree in the most significant field, then the exponents of q, t, w,
+u, v, a, b and c.  Each field holds its value plus the bias 2^30, so every
+exponent, and every total degree, lies in [-2^30, 2^30 - 1] and the top bit
+of each field (its guard bit) is clear.  Negative exponents are allowed
+everywhere except in fraction denominators.
 
 The canonical term order is graded lexicographic: higher total degree first,
-ties broken variable by variable in that order.  Canonical strings list
-terms in descending order, which makes the printed form unique per value.
+ties broken variable by variable in that order.  It is int comparison of
+packed monomials.  Canonical strings list terms in descending order, which
+makes the printed form unique per value.
+
+A product of monomials is m1 + m2 - _UNIT, where _UNIT (every field at its
+bias) is the monomial 1.  A field pushed out of its range sets its own guard
+bit, so one OR over a result's keys finds any out-of-range exponent or total
+degree, which raises OverflowError and never wraps.
 
 RatFunc values are fully reduced fractions: the numerator is any Laurent
 polynomial, the denominator an ordinary polynomial with minimum degree zero
@@ -22,9 +31,11 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import reduce
+from operator import or_
+from typing import Iterable, Mapping, Sequence
 
-Mono = tuple[int, ...]
+Mono = int
 
 _VAR_NAMES = ("q", "t", "w", "u", "v", "a", "b", "c")
 _VAR_INDEX: dict[str, int] = {name: i for i, name in enumerate(_VAR_NAMES)}
@@ -42,44 +53,36 @@ class ParseError(ValueError):
         self.position = position
 
 
-# -- monomial helpers --------------------------------------------------------
-#
-# A monomial is a tuple of exponents by variable index with trailing zeros
-# trimmed, so () is the constant monomial and (0, 2) is t^2.
+# -- packed monomials --------------------------------------------------------
 
-def _trim(exps: list[int]) -> Mono:
-    while exps and exps[-1] == 0:
-        exps.pop()
-    return tuple(exps)
-
-
-def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    if len(m1) < len(m2):
-        m1, m2 = m2, m1
-    out = list(m1)
-    for i, e in enumerate(m2):
-        out[i] += e
-    return _trim(out)
+_BITS = 32
+_FIELD = (1 << _BITS) - 1
+_BIAS = 1 << (_BITS - 2)
+_SHIFTS = tuple(_BITS * (len(_VAR_NAMES) - 1 - i) for i in range(len(_VAR_NAMES)))
+_DEGREE_SHIFT = _BITS * len(_VAR_NAMES)
+_UNIT = sum(_BIAS << s for s in (*_SHIFTS, _DEGREE_SHIFT))
+_GUARDS = sum(2 * _BIAS << s for s in (*_SHIFTS, _DEGREE_SHIFT))
+# Adding e * _STEP[i] multiplies a monomial by variable i to the power e.
+_STEP = tuple((1 << s) + (1 << _DEGREE_SHIFT) for s in _SHIFTS)
+_RANGE_ERROR = "exponent or total degree outside [-2^30, 2^30 - 1]"
 
 
-def _mono_sub(m1: Mono, m2: Mono) -> Mono:
-    out = list(m1) + [0] * (len(m2) - len(m1))
-    for i, e in enumerate(m2):
-        out[i] -= e
-    return _trim(out)
+def _pack(exps: Sequence[int]) -> Mono:
+    """The monomial with these exponents (in variable order, missing ones zero)."""
+    if not all(-_BIAS <= e < _BIAS for e in (*exps, sum(exps))):
+        raise OverflowError(f"{_RANGE_ERROR}: {tuple(exps)}")
+    return _UNIT + sum(e * step for e, step in zip(exps, _STEP))
 
 
-def _mono_neg(m: Mono) -> Mono:
-    return tuple(-e for e in m)
+def _exponents(m: Mono) -> tuple[int, ...]:
+    return tuple(((m >> s) & _FIELD) - _BIAS for s in _SHIFTS)
 
 
-def _order_key(m: Mono) -> tuple:
-    # Graded lex; pad so tuples of different lengths compare correctly.
-    return (sum(m), m + (0,) * (len(_VAR_NAMES) - len(m)))
+def _checked(terms: dict[Mono, int]) -> LaurentPoly:
+    """Wrap `terms`, raising OverflowError if any key has a guard bit set."""
+    if reduce(or_, terms, 0) & _GUARDS:
+        raise OverflowError(_RANGE_ERROR)
+    return LaurentPoly(terms)
 
 
 class LaurentPoly:
@@ -96,7 +99,7 @@ class LaurentPoly:
 
     @staticmethod
     def integer(value: int) -> LaurentPoly:
-        return LaurentPoly({(): value}) if value else ZERO
+        return LaurentPoly({_UNIT: value}) if value else ZERO
 
     @staticmethod
     def variable(name: str, exponent: int = 1) -> LaurentPoly:
@@ -104,8 +107,7 @@ class LaurentPoly:
             raise ValueError(f"unknown variable {name!r}")
         if exponent == 0:
             return ONE
-        mono = _trim([0] * _VAR_INDEX[name] + [exponent])
-        return LaurentPoly({mono: 1})
+        return LaurentPoly({_pack((0,) * _VAR_INDEX[name] + (exponent,)): 1})
 
     # -- predicates and views -------------------------------------------------
 
@@ -113,43 +115,48 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(): 1}
+        return self.terms == {_UNIT: 1}
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {()}
+        return not self.terms or (len(self.terms) == 1 and _UNIT in self.terms)
 
     def constant_value(self) -> int:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), 0)
+        return self.terms.get(_UNIT, 0)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
+    def exponent_terms(self) -> dict[tuple[int, ...], int]:
+        """The terms keyed by exponent tuples in variable order, trailing zeros trimmed."""
+        out = {}
+        for mono, c in self.terms.items():
+            exps = _exponents(mono)
+            width = max((i + 1 for i, e in enumerate(exps) if e), default=0)
+            out[exps[:width]] = c
+        return out
+
     def variables(self) -> set[str]:
-        seen: set[str] = set()
-        for mono in self.terms:
-            for idx, exp in enumerate(mono):
-                if exp:
-                    seen.add(_VAR_NAMES[idx])
-        return seen
+        differs = reduce(or_, (m ^ _UNIT for m in self.terms), 0)
+        return {name for name, shift in zip(_VAR_NAMES, _SHIFTS) if (differs >> shift) & _FIELD}
+
+    def _exponents_of(self, name: str) -> list[int]:
+        shift = _SHIFTS[_VAR_INDEX[name]]
+        return [((m >> shift) & _FIELD) - _BIAS for m in self.terms]
 
     def degree(self, name: str) -> int:
         """Maximum exponent of `name` across terms (0 for the zero polynomial)."""
-        idx = _VAR_INDEX[name]
-        degs = [m[idx] if idx < len(m) else 0 for m in self.terms]
-        return max(degs, default=0)
+        return max(self._exponents_of(name), default=0)
 
     def min_degree(self, name: str) -> int:
-        idx = _VAR_INDEX[name]
-        degs = [m[idx] if idx < len(m) else 0 for m in self.terms]
-        return min(degs, default=0)
+        return min(self._exponents_of(name), default=0)
 
     def leading(self) -> tuple[Mono, int]:
         """Leading (monomial, coefficient) in the canonical term order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        mono = max(self.terms, key=_order_key)
+        mono = max(self.terms)
         return mono, self.terms[mono]
 
     def content(self) -> int:
@@ -163,19 +170,22 @@ class LaurentPoly:
 
     def monomial_gcd(self) -> Mono:
         """Componentwise minimum exponent vector over all terms."""
+        if len(self.terms) == 1:
+            return next(iter(self.terms))
         if not self.terms:
-            return ()
-        width = max(len(m) for m in self.terms)
-        mins = [0] * width
-        for i in range(width):
-            mins[i] = min(m[i] if i < len(m) else 0 for m in self.terms)
-        return _trim(mins)
+            return _UNIT
+        return _pack([min(col) for col in zip(*map(_exponents, self.terms))])
 
     def shift(self, mono: Mono) -> LaurentPoly:
         """Multiply by the given monomial."""
-        if not mono:
+        if mono == _UNIT:
             return self
-        return LaurentPoly({_mono_mul(m, mono): c for m, c in self.terms.items()})
+        delta = mono - _UNIT
+        return _checked({m + delta: c for m, c in self.terms.items()})
+
+    def unshift(self, mono: Mono) -> LaurentPoly:
+        """Divide by the given monomial."""
+        return self.shift(2 * _UNIT - mono)
 
     def int_div(self, k: int) -> LaurentPoly:
         """Divide every coefficient by k, which must divide exactly."""
@@ -228,19 +238,20 @@ class LaurentPoly:
             return ZERO
         if len(a) > len(b):
             a, b = b, a
-        if len(a) == 1 and () in a:
-            k = a[()]
+        if len(a) == 1 and _UNIT in a:
+            k = a[_UNIT]
             return LaurentPoly({m: k * c for m, c in b.items()})
         out: dict[Mono, int] = {}
         for m1, c1 in a.items():
+            delta = m1 - _UNIT
             for m2, c2 in b.items():
-                m = _mono_mul(m1, m2)
+                m = delta + m2
                 s = out.get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
                 else:
                     del out[m]
-        return LaurentPoly(out)
+        return _checked(out)
 
     __rmul__ = __mul__
 
@@ -269,28 +280,30 @@ class LaurentPoly:
             return ZERO
         smono = self.monomial_gcd()
         omono = other.monomial_gcd()
-        num = self.shift(_mono_neg(smono))
-        den = other.shift(_mono_neg(omono))
+        num = self.unshift(smono)
+        den = other.unshift(omono)
         dl_mono, dl_coeff = den.leading()
         rem = dict(num.terms)
         quot: dict[Mono, int] = {}
         while rem:
-            rl_mono = max(rem, key=_order_key)
-            qm = _mono_sub(rl_mono, dl_mono)
-            if any(e < 0 for e in qm):
+            # Every exponent here is nonnegative, so no field leaves its range.
+            rl_mono = max(rem)
+            qm = rl_mono - dl_mono + _UNIT
+            if min(_exponents(qm)) < 0:
                 raise NotDivisibleError("leading monomial not divisible")
             qc, r = divmod(rem[rl_mono], dl_coeff)
             if r:
                 raise NotDivisibleError("leading coefficient not divisible")
             quot[qm] = qc
+            delta = qm - _UNIT
             for m, c in den.terms.items():
-                key = _mono_mul(m, qm)
+                key = m + delta
                 s = rem.get(key, 0) - qc * c
                 if s:
                     rem[key] = s
                 else:
                     rem.pop(key, None)
-        return LaurentPoly(quot).shift(_mono_sub(smono, omono))
+        return LaurentPoly(quot).shift(smono - omono + _UNIT)
 
     def divides(self, other: LaurentPoly) -> bool:
         try:
@@ -307,7 +320,7 @@ class LaurentPoly:
         total = Fraction(0)
         for mono, coeff in self.terms.items():
             term = Fraction(coeff)
-            for idx, exp in enumerate(mono):
+            for idx, exp in enumerate(_exponents(mono)):
                 if not exp:
                     continue
                 if idx not in values:
@@ -325,7 +338,7 @@ class LaurentPoly:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.is_constant() and self.terms.get((), 0) == other
+            return self.is_constant() and self.terms.get(_UNIT, 0) == other
         if isinstance(other, LaurentPoly):
             return self.terms == other.terms
         return NotImplemented
@@ -334,7 +347,7 @@ class LaurentPoly:
         # A constant hashes as its int, since it compares equal to it.
         if self._hash is None:
             if self.is_constant():
-                self._hash = hash(self.terms.get((), 0))
+                self._hash = hash(self.terms.get(_UNIT, 0))
             else:
                 self._hash = hash(frozenset(self.terms.items()))
         return self._hash
@@ -350,7 +363,7 @@ class LaurentPoly:
 
 
 ZERO = LaurentPoly({})
-ONE = LaurentPoly({(): 1})
+ONE = LaurentPoly({_UNIT: 1})
 
 
 def _coerce_poly(value):
@@ -374,16 +387,12 @@ def variable(name: str, exponent: int = 1) -> LaurentPoly:
 def canonical_string(poly: LaurentPoly) -> str:
     if not poly.terms:
         return "0"
-    items = sorted(poly.terms.items(), key=lambda kv: _order_key(kv[0]), reverse=True)
     parts: list[str] = []
-    for i, (mono, coeff) in enumerate(items):
+    for i, mono in enumerate(sorted(poly.terms, reverse=True)):
+        coeff = poly.terms[mono]
         mag = abs(coeff)
-        factors = []
-        for idx, exp in enumerate(mono):
-            if not exp:
-                continue
-            name = _VAR_NAMES[idx]
-            factors.append(name if exp == 1 else f"{name}^{exp}")
+        factors = [name if exp == 1 else f"{name}^{exp}"
+                   for name, exp in zip(_VAR_NAMES, _exponents(mono)) if exp]
         if not factors:
             body = str(mag)
         elif mag == 1:
@@ -426,6 +435,7 @@ def parse_poly(text: str) -> LaurentPoly:
                 sign = -1
             pos = skip_ws(pos + 1)
         first = False
+        term_pos = pos
         coeff: int | None = None
         exps: dict[int, int] = {}
         saw_factor = False
@@ -459,6 +469,8 @@ def parse_poly(text: str) -> LaurentPoly:
                     m = _INT_RE.match(text, pos)
                     if not m:
                         raise ParseError("expected an exponent", pos)
+                    if len(m.group()) > 10:  # out of range; int() refuses over 4300 digits
+                        raise ParseError(_RANGE_ERROR, term_pos)
                     exp = esign * int(m.group())
                     pos = m.end()
                 idx = _VAR_INDEX[name]
@@ -472,11 +484,10 @@ def parse_poly(text: str) -> LaurentPoly:
                 continue
             break
         c = 1 if coeff is None else coeff
-        width = max(exps, default=-1) + 1
-        vec = [0] * width
-        for idx, exp in exps.items():
-            vec[idx] = exp
-        mono = _trim(vec)
+        try:
+            mono = _pack([exps.get(i, 0) for i in range(len(_VAR_NAMES))])
+        except OverflowError:
+            raise ParseError(_RANGE_ERROR, term_pos) from None
         s = terms.get(mono, 0) + sign * c
         if s:
             terms[mono] = s
@@ -499,13 +510,13 @@ def poly_gcd(x: LaurentPoly, y: LaurentPoly) -> LaurentPoly:
         return _gcd_normalize(y)
     if y.is_zero():
         return _gcd_normalize(x)
-    a = x.shift(_mono_neg(x.monomial_gcd()))
-    b = y.shift(_mono_neg(y.monomial_gcd()))
+    a = x.unshift(x.monomial_gcd())
+    b = y.unshift(y.monomial_gcd())
     return _gcd_normalize(_gcd_core(a, b))
 
 
 def _gcd_normalize(p: LaurentPoly) -> LaurentPoly:
-    p = p.shift(_mono_neg(p.monomial_gcd()))
+    p = p.unshift(p.monomial_gcd())
     c = p.content()
     if c > 1:
         p = p.int_div(c)
@@ -515,25 +526,18 @@ def _gcd_normalize(p: LaurentPoly) -> LaurentPoly:
 
 
 def _main_variable(p: LaurentPoly, q: LaurentPoly) -> int:
-    best = None
-    for poly in (p, q):
-        for mono in poly.terms:
-            for idx, exp in enumerate(mono):
-                if exp and (best is None or idx < best):
-                    best = idx
-    if best is None:
+    present = p.variables() | q.variables()
+    if not present:
         raise ValueError("no variable present")
-    return best
+    return min(_VAR_INDEX[name] for name in present)
 
 
 def _as_univariate(p: LaurentPoly, var_idx: int) -> dict[int, LaurentPoly]:
     coeffs: dict[int, dict[Mono, int]] = {}
+    shift, step = _SHIFTS[var_idx], _STEP[var_idx]
     for mono, c in p.terms.items():
-        deg = mono[var_idx] if var_idx < len(mono) else 0
-        rest = list(mono)
-        if var_idx < len(rest):
-            rest[var_idx] = 0
-        coeffs.setdefault(deg, {})[_trim(rest)] = c
+        deg = ((mono >> shift) & _FIELD) - _BIAS
+        coeffs.setdefault(deg, {})[mono - deg * step] = c
     return {deg: LaurentPoly(terms) for deg, terms in coeffs.items()}
 
 
@@ -685,16 +689,19 @@ class RatFunc:
         return RatFunc(self.num ** exponent, self.den ** exponent)
 
     def __eq__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
+        if isinstance(other, (int, Fraction, LaurentPoly)):
             other = _coerce_ratfunc(other)
         if isinstance(other, RatFunc):
             return self.num == other.num and self.den == other.den
         return NotImplemented
 
     def __hash__(self):
-        # Equal to its numerator when the denominator is 1, so hash alike.
+        # Equal to its numerator when the denominator is 1, and a constant
+        # p/q equal to Fraction(p, q), so hash alike.
         if self.den.is_one():
             return hash(self.num)
+        if self.den.is_constant() and self.num.is_constant():
+            return hash(Fraction(self.num.constant_value(), self.den.constant_value()))
         return hash((self.num, self.den))
 
     def __bool__(self):
@@ -728,11 +735,11 @@ def _normalize_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly
         return ZERO, ONE
     # Fold the denominator's monomial part into the numerator.
     dmono = den.monomial_gcd()
-    den = den.shift(_mono_neg(dmono))
-    num = num.shift(_mono_neg(dmono))
+    den = den.unshift(dmono)
+    num = num.unshift(dmono)
     if not den.is_one():
         nmono = num.monomial_gcd()
-        core = num.shift(_mono_neg(nmono))
+        core = num.unshift(nmono)
         g = poly_gcd(core, den)
         if not g.is_one():
             core = core.exact_div(g)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from braidrep.cli import main
+from braidrep.cli import MAX_MATRIX_STRANDS, main
 
 
 def run(capsys, *argv):
@@ -226,3 +226,44 @@ def test_solve_ext_point_names(capsys, point, message):
     code, out, err = run(capsys, "solve-ext", "--n", "3", "--point", point)
     assert code == 2 and out == ""
     assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
+def test_charpoly_of_a_long_word_keeps_its_exponents(capsys):
+    code, out, err = run(capsys, "charpoly", "--n", "2", "--word", " ".join(["1"] * 9000))
+    assert code == 0 and err == ""
+    assert out == "q^18000*t^9000 - w\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("charpoly", "--word", "1"),
+    ("markov", "--word", "1"),
+    ("rep", "--rep", "lkb", "--word", "1"),
+    ("verify", "--rep", "burau"),
+    ("defect", "--word", "1"),
+    ("det-tau",),
+])
+def test_strand_count_bounded_for_matrix_commands(capsys, argv):
+    too_many = str(MAX_MATRIX_STRANDS + 1)
+    code, out, err = run(capsys, *argv, "--n", too_many)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and too_many in err and err.count("\n") == 1
+
+
+def test_strand_count_bound_is_inclusive(capsys):
+    n = str(MAX_MATRIX_STRANDS)
+    code, out, _ = run(capsys, "rep", "--rep", "burau", "--n", n, "--word", "1")
+    assert code == 0 and json.loads(out)["dim"] == MAX_MATRIX_STRANDS
+    code, out, _ = run(capsys, "charpoly", "--n", n, "--word", "")
+    assert code == 0 and out.startswith(f"w^{MAX_MATRIX_STRANDS * (MAX_MATRIX_STRANDS - 1) // 2} ")
+
+
+def test_markov_max_strands_bounded(capsys):
+    code, out, err = run(capsys, "markov", "--n", "2", "--word", "1",
+                         "--max-strands", str(MAX_MATRIX_STRANDS + 1))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--max-strands" in err and err.count("\n") == 1
+
+
+def test_nf_strand_count_unbounded(capsys):
+    code, out, _ = run(capsys, "nf", "--n", "100000", "--word", "1 99999")
+    assert code == 0 and out

@@ -188,7 +188,7 @@ def test_charpoly_degree_and_leading_coefficient():
     m = LKB3_SIGMA1 * LKB3_SIGMA2
     cp = m.charpoly()
     assert cp.degree("w") == 3
-    w_cubed = {mono: c for mono, c in cp.terms.items() if len(mono) > 2 and mono[2] == 3}
+    w_cubed = {mono: c for mono, c in cp.exponent_terms().items() if len(mono) > 2 and mono[2] == 3}
     assert w_cubed == {(0, 0, 3): -1}
 
 
@@ -266,9 +266,12 @@ def test_equal_values_hash_alike():
         (integer(3), 3),
         (integer(0), 0),
         (RatFunc(q + 1), q + 1),
+        (RatFunc.from_fraction(Fraction(1, 2)), Fraction(1, 2)),
+        (RatFunc(-3, 4), Fraction(-3, 4)),
     ]
     for a, b in pairs:
         assert a == b
+        assert b == a
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 

@@ -226,3 +226,65 @@ def test_parse_ratfunc():
     assert r == RatFunc(-q ** 6 * t ** 2 * w ** 3 + 1, q ** 6 * t ** 2)
     assert parse_ratfunc("q - 1") == RatFunc(q - 1)
     assert parse_ratfunc(str(r)) == r
+
+
+# Every exponent and every total degree lies in [-2^30, 2^30 - 1].
+LOW, HIGH = -2 ** 30, 2 ** 30 - 1
+NAMES = ("q", "t", "w", "u", "v", "a", "b", "c")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_exponent_bound_in_each_variable(name):
+    x = variable(name)
+    assert variable(name, HIGH).degree(name) == HIGH
+    assert variable(name, LOW).min_degree(name) == LOW
+    for bad in (HIGH + 1, LOW - 1):
+        with pytest.raises(OverflowError):
+            variable(name, bad)
+    assert variable(name, HIGH - 1) * x == variable(name, HIGH)
+    assert variable(name, LOW + 1) * variable(name, -1) == variable(name, LOW)
+    with pytest.raises(OverflowError):
+        variable(name, HIGH) * x
+    with pytest.raises(OverflowError):
+        variable(name, LOW) * variable(name, -1)
+    # The other terms of a product stay in range; one bad term is enough.
+    with pytest.raises(OverflowError):
+        (variable(name, HIGH) + 1) * (x + 1)
+    mono = x.leading()[0]
+    assert variable(name, HIGH - 1).shift(mono) == variable(name, HIGH)
+    assert variable(name, LOW + 1).unshift(mono) == variable(name, LOW)
+    with pytest.raises(OverflowError):
+        variable(name, HIGH).shift(mono)
+    with pytest.raises(OverflowError):
+        variable(name, LOW).unshift(mono)
+
+
+def test_total_degree_bound():
+    half = 2 ** 29
+    top = variable("q", half) * variable("c", half - 1)
+    assert canonical_string(top) == f"q^{half}*c^{half - 1}"
+    bottom = variable("t", -half) * variable("b", -half)
+    assert canonical_string(bottom) == f"t^-{half}*b^-{half}"
+    with pytest.raises(OverflowError):
+        top * variable("w")
+    with pytest.raises(OverflowError):
+        bottom * variable("a", -1)
+    # Each product is bounded on its own: top * w raises, but not a product
+    # that reaches the same factors through in-range intermediates.
+    assert (top * variable("v", -1)) * variable("w") == top * (variable("w") * variable("v", -1))
+
+
+def test_parse_bound_reports_the_term():
+    assert parse_poly(f"q^{HIGH} + t^{LOW}") == variable("q", HIGH) + variable("t", LOW)
+    assert parse_poly(canonical_string(variable("c", LOW))) == variable("c", LOW)
+    for text, position in ((f"q^{HIGH + 1}", 0), (f"1 + t^{LOW - 1}", 4),
+                           (f"q - 2*q^{2 ** 29}*t^{2 ** 29}", 4), ("q^" + "9" * 5000, 0)):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text)
+        assert info.value.position == position
+
+
+def test_exact_division_at_the_bound():
+    top = variable("q", HIGH - 1)
+    assert (top * t - top).exact_div(t - 1) == top
+    assert (top * (t - 1)).exact_div(top) == t - 1

@@ -1,0 +1,121 @@
+"""Property tests for the Laurent ring (hypothesis): axioms, a sympy oracle,
+the text round trip, the term order, gcd divisibility and hashing."""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from braidrep.ring import (
+    ZERO,
+    RatFunc,
+    canonical_string,
+    integer,
+    parse_poly,
+    poly_gcd,
+    variable,
+)
+
+NAMES = ("q", "t", "w", "u", "v", "a", "b", "c")
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def monomial(exps):
+    term = integer(1)
+    for name, e in zip(NAMES, exps):
+        term = term * variable(name, e)
+    return term
+
+
+def exponents(max_exp):
+    return st.tuples(*[st.integers(-max_exp, max_exp)] * len(NAMES))
+
+
+def polys(max_terms=4, max_exp=3):
+    terms = st.lists(st.tuples(st.integers(-5, 5), exponents(max_exp)), max_size=max_terms)
+    return terms.map(lambda ts: sum((c * monomial(e) for c, e in ts), ZERO))
+
+
+def graded_lex(exps):
+    """The canonical order as an explicit tuple key: total degree, then q, t, ..."""
+    full = exps + (0,) * (len(NAMES) - len(exps))
+    return (sum(full), full)
+
+
+@SETTINGS
+@given(polys(), polys(), polys())
+def test_ring_axioms(x, y, z):
+    assert (x + y) + z == x + (y + z)
+    assert x + y == y + x
+    assert (x * y) * z == x * (y * z)
+    assert x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert (x - y) + y == x
+
+
+@SETTINGS
+@given(polys(), polys())
+def test_products_agree_with_sympy(x, y):
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(NAMES)
+
+    def to_sympy(p):
+        return sum(
+            (c * sympy.Mul(*[s ** e for s, e in zip(syms, exps)])
+             for exps, c in p.exponent_terms().items()),
+            sympy.Integer(0),
+        )
+
+    assert sympy.expand(to_sympy(x) * to_sympy(y) - to_sympy(x * y)) == 0
+
+
+@SETTINGS
+@given(polys(max_terms=6))
+def test_parse_inverts_canonical_string(p):
+    assert parse_poly(canonical_string(p)) == p
+
+
+@SETTINGS
+@given(polys(max_terms=6))
+def test_leading_is_graded_lex_maximum(p):
+    if p.is_zero():
+        return
+    terms = p.exponent_terms()
+    top = max(terms, key=graded_lex)
+    assert p.leading() == (monomial(top).leading()[0], terms[top])
+    # Canonical strings list terms in descending order, the leading term first.
+    first = canonical_string(p).split(" ")[0].lstrip("-")
+    assert parse_poly(first) == monomial(top) * abs(terms[top])
+
+
+@SETTINGS
+@given(polys(max_terms=3, max_exp=2), polys(max_terms=3, max_exp=2),
+       polys(max_terms=2, max_exp=2))
+def test_gcd_divides_both(x, y, z):
+    x, y = x * z, y * z
+    if x.is_zero() and y.is_zero():
+        return
+    g = poly_gcd(x, y)
+    assert g.divides(x) and g.divides(y)
+    # A common factor survives, up to the units the normalisation removes.
+    assert z.is_zero() or poly_gcd(z, ZERO).divides(g)
+
+
+@SETTINGS
+@given(polys(), polys(), st.fractions(max_denominator=50))
+def test_equal_values_hash_alike(x, y, f):
+    pairs = [
+        (x * y, y * x),
+        ((x + y) - y, x),
+        (parse_poly(canonical_string(x)), x),
+        (RatFunc(x), x),
+        (RatFunc.from_fraction(f), Fraction(f)),
+    ]
+    if x.is_constant():
+        pairs.append((x, x.constant_value()))
+    for a, b in pairs:
+        assert a == b and b == a
+        assert hash(a) == hash(b)
