@@ -244,11 +244,11 @@ def cmd_solve_ext(args) -> int:
 
 def cmd_det_tau(args) -> int:
     _check_matrix_strands(args.n)
-    det = det_tau_symbolic(args.n)
+    cmp = det_tau_b4_diff() if args.n == 4 else None
+    det = det_tau_symbolic(args.n) if cmp is None else cmp["computed"]
     data: dict = {"n": args.n, "det": canonical_string(det)}
     lines = [canonical_string(det)]
-    if args.n == 4:
-        cmp = det_tau_b4_diff()
+    if cmp is not None:
         data["reference"] = canonical_string(cmp["reference"])
         data["diff"] = canonical_string(cmp["diff"])
         data["only_u6_terms"] = cmp["only_u6_terms"]

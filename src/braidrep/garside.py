@@ -140,9 +140,6 @@ class NormalForm:
     def identity(cls, n: int) -> NormalForm:
         return cls(n, 0, ())
 
-    def is_identity(self) -> bool:
-        return self.inf == 0 and not self.factors
-
     def canonical_length(self) -> int:
         return len(self.factors)
 

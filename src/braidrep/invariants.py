@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
 
 from .braid import BraidWord, conjugate, destabilize, free_reduce, sigma, stabilize
 from .garside import to_normal_form
@@ -63,17 +62,12 @@ class MarkovClassSample:
         raise KeyError(poly)
 
 
-@cache
-def _lkb(n: int):
-    return lkb(n)
-
-
 def charpoly_invariant(n: int, word: BraidWord) -> InvariantValue:
     if not word.is_classical:
         raise ValueError("the invariant is defined for classical words only")
     if word.n != n:
         raise ValueError("strand count mismatch")
-    return InvariantValue(n, rep_apply(_lkb(n), word).charpoly("w"))
+    return InvariantValue(n, rep_apply(lkb(n), word).charpoly("w"))
 
 
 def _moves(word: BraidWord, bounds: MarkovBounds) -> list[tuple[BraidWord, bool]]:

@@ -9,8 +9,14 @@ Conventions used throughout:
 * Representation parameters may be left symbolic (the ring variables u, v,
   a, b, c) or pinned to exact rationals; a non-integer rational forces
   matrices over the fraction field.
-* Each generator image is inverted once, when its B_n representation is
-  built; singular extensions reuse the inverses of their base.
+* The B_n constructors burau, lkb and exterior_square_burau are memoised:
+  each is a pure function of its arguments and returns an immutable
+  MatrixRep, so each generator image is inverted once per process.  The
+  SM_n constructors take arbitrary parameters, stay uncached and reuse the
+  cached base with its inverses.
+* Elements of an algebra, such as the group algebra of B_n here and the
+  Temperley-Lieb algebra in tl, are LinComb instances: sparse linear
+  combinations of basis keys, one subclass per algebra.
 
 The exterior square of the Burau representation is built both from a direct
 six-case formula and functorially (2x2 minors of the Burau matrix); the two
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Mapping
 
 from .braid import BraidWord, relation_set, sigma
@@ -114,6 +121,7 @@ def _extend(base: MatrixRep, name: str, taus: list[RingMatrix]) -> MatrixRep:
 
 # -- Burau ---------------------------------------------------------------------
 
+@cache
 def burau(n: int, var: str = "t") -> MatrixRep:
     """Unreduced n-dimensional Burau representation over Z[var^{+-1}]."""
     if n < 2:
@@ -176,6 +184,7 @@ def _lkb_sigma_rows(n: int, i: int) -> list[list[LaurentPoly]]:
     return rows
 
 
+@cache
 def lkb(n: int) -> MatrixRep:
     """Lawrence-Krammer-Bigelow representation on the pair basis, over Z[q^{+-1}, t^{+-1}]."""
     if n < 2:
@@ -227,6 +236,7 @@ def _wedge_sigma_rows(n: int, i: int) -> list[list[LaurentPoly]]:
     return rows
 
 
+@cache
 def exterior_square_burau(n: int) -> MatrixRep:
     """Second exterior power of the Burau representation written in q."""
     if n < 2:
@@ -363,76 +373,73 @@ def _ga_coeff(value) -> RatFunc:
     raise TypeError(f"bad coefficient {value!r}")
 
 
-class GroupAlgebraElem:
-    """Finite linear combination of braids, keyed by Garside normal form."""
+class LinComb:
+    """Finite linear combination of basis keys, the element type of an algebra.
+
+    A subclass fixes the algebra with two hooks: `_coeff` coerces a value into
+    the coefficient ring, and `_basis_mul(k1, k2)` returns the key of a product
+    of two basis elements with its scalar factor, or None for a factor of 1.
+    Zero coefficients are dropped by the constructor.  Elements compare by
+    value and are unhashable.
+    """
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Mapping[NormalForm, object] | None = None):
+    def __init__(self, n: int, terms: Mapping[object, object] | None = None):
         self.n = n
-        cleaned: dict[NormalForm, RatFunc] = {}
+        cleaned = {}
         if terms:
             for key, value in terms.items():
-                coeff = _ga_coeff(value)
+                coeff = self._coeff(value)
                 if coeff:
                     cleaned[key] = coeff
         self.terms = cleaned
 
-    @classmethod
-    def unit(cls, n: int) -> GroupAlgebraElem:
-        return cls(n, {NormalForm.identity(n): RatFunc(1)})
-
-    @classmethod
-    def zero(cls, n: int) -> GroupAlgebraElem:
-        return cls(n, {})
-
-    @classmethod
-    def from_braid(cls, nf: NormalForm, coeff=1) -> GroupAlgebraElem:
-        return cls(nf.n, {nf: _ga_coeff(coeff)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _check(self, other: GroupAlgebraElem) -> None:
+    def _check(self, other: LinComb) -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if self.n != other.n:
             raise ValueError("strand count mismatch")
 
-    def __add__(self, other: GroupAlgebraElem) -> GroupAlgebraElem:
+    def __add__(self, other: LinComb) -> LinComb:
         self._check(other)
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             s = out.get(key)
             out[key] = coeff if s is None else s + coeff
-        return GroupAlgebraElem(self.n, out)
+        return type(self)(self.n, out)
 
-    def __neg__(self) -> GroupAlgebraElem:
-        return GroupAlgebraElem(self.n, {k: -c for k, c in self.terms.items()})
+    def __neg__(self) -> LinComb:
+        return type(self)(self.n, {k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other: GroupAlgebraElem) -> GroupAlgebraElem:
+    def __sub__(self, other: LinComb) -> LinComb:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, GroupAlgebraElem):
-            self._check(other)
-            out: dict[NormalForm, RatFunc] = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    key = nf_mul(k1, k2)
-                    c = c1 * c2
-                    s = out.get(key)
-                    out[key] = c if s is None else s + c
-            return GroupAlgebraElem(self.n, out)
-        return self.scalar_mul(other)
+        if not isinstance(other, type(self)):
+            return self.scalar_mul(other)
+        self._check(other)
+        out = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key, scalar = self._basis_mul(k1, k2)
+                c = c1 * c2 if scalar is None else c1 * c2 * scalar
+                s = out.get(key)
+                out[key] = c if s is None else s + c
+        return type(self)(self.n, out)
 
     def __rmul__(self, other):
         return self.scalar_mul(other)
 
-    def scalar_mul(self, value) -> GroupAlgebraElem:
-        coeff = _ga_coeff(value)
-        return GroupAlgebraElem(self.n, {k: coeff * c for k, c in self.terms.items()})
+    def scalar_mul(self, value) -> LinComb:
+        coeff = self._coeff(value)
+        return type(self)(self.n, {k: coeff * c for k, c in self.terms.items()})
 
     def __eq__(self, other):
-        if not isinstance(other, GroupAlgebraElem):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
@@ -442,14 +449,29 @@ class GroupAlgebraElem:
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
-        for key in sorted(self.terms):
-            coeff = self.terms[key]
-            parts.append(f"({coeff}) * [{key}]")
-        return " + ".join(parts)
+        return " + ".join(f"({self.terms[key]}) * [{key}]" for key in sorted(self.terms))
 
     def __repr__(self):
-        return f"GroupAlgebraElem({self!s})"
+        return f"{type(self).__name__}({self!s})"
+
+
+class GroupAlgebraElem(LinComb):
+    """Finite linear combination of braids, keyed by Garside normal form."""
+
+    __slots__ = ()
+    _coeff = staticmethod(_ga_coeff)
+
+    @staticmethod
+    def _basis_mul(k1: NormalForm, k2: NormalForm) -> tuple[NormalForm, None]:
+        return nf_mul(k1, k2), None
+
+    @classmethod
+    def unit(cls, n: int) -> GroupAlgebraElem:
+        return cls(n, {NormalForm.identity(n): 1})
+
+    @classmethod
+    def from_braid(cls, nf: NormalForm, coeff=1) -> GroupAlgebraElem:
+        return cls(nf.n, {nf: coeff})
 
 
 def birman_image(word: BraidWord, a: Param = None, b: Param = None,
@@ -566,11 +588,8 @@ def _nullspace(rows: FractRows, cols: int) -> list[list[Fraction]]:
 
 
 def _in_span(basis: list[list[Fraction]], target: list[Fraction]) -> bool:
-    if not basis:
-        return all(x == 0 for x in target)
-    _, pivots = _rref([row[:] for row in basis])
-    _, pivots2 = _rref([row[:] for row in basis] + [target[:]])
-    return len(pivots) == len(pivots2)
+    """Whether target lies in the span of basis, whose vectors are independent."""
+    return len(_rref(basis + [target])[1]) == len(basis)
 
 
 @dataclass(frozen=True)
@@ -671,29 +690,22 @@ def _quadratic_commutations_hold(n: int, A, B, basis_vectors, m: int) -> bool:
         X = [[vec[r * m + c] for c in range(m)] for r in range(m)]
         return _f_mul(_f_mul(A[i], X), B[i])
 
-    pairs = [(i, j) for i in range(1, n) for j in range(i + 2, n)]
-    lifted = {
-        (i, idx): lift(i, vec)
-        for i in range(1, n)
-        for idx, vec in enumerate(basis_vectors)
-    }
-    for i, j in pairs:
-        for r in range(len(basis_vectors)):
-            for s in range(len(basis_vectors)):
-                lhs = _f_mul(lifted[(i, r)], lifted[(j, s)])
-                rhs = _f_mul(lifted[(j, s)], lifted[(i, r)])
-                if r == s:
-                    if lhs != rhs:
-                        return False
-                else:
-                    lhs2 = _f_mul(lifted[(i, s)], lifted[(j, r)])
-                    rhs2 = _f_mul(lifted[(j, r)], lifted[(i, s)])
-                    sum_lhs = [
-                        [lhs[x][y] + lhs2[x][y] for y in range(m)] for x in range(m)
-                    ]
-                    sum_rhs = [
-                        [rhs[x][y] + rhs2[x][y] for y in range(m)] for x in range(m)
-                    ]
-                    if sum_lhs != sum_rhs:
+    def commutator(x: FractRows, y: FractRows) -> FractRows:
+        return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(_f_mul(x, y), _f_mul(y, x))]
+
+    k = len(basis_vectors)
+    lifted = {(i, r): lift(i, vec) for i in range(1, n) for r, vec in enumerate(basis_vectors)}
+    # On the span, sum_r x_r L_i(r) commutes with sum_s x_s L_j(s) for every x
+    # exactly when C(r, r) = 0 and C(r, s) + C(s, r) = 0 for r < s, where
+    # C(r, s) = L_i(r) L_j(s) - L_j(s) L_i(r).
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            C = {(r, s): commutator(lifted[i, r], lifted[j, s])
+                 for r in range(k) for s in range(k)}
+            for r in range(k):
+                if any(any(row) for row in C[r, r]):
+                    return False
+                for s in range(r + 1, k):
+                    if any(a + b for ra, rb in zip(C[r, s], C[s, r]) for a, b in zip(ra, rb)):
                         return False
     return True

@@ -15,7 +15,9 @@ loop produced in the middle contributes the scalar -t^2 - t^-2.  The map
     sigma_i^-1->  t u_i + t^-1 e
     tau_i     ->  a u_i + b e
 
-sends singular braid words to elements of the algebra.
+sends singular braid words to elements of the algebra.  An element is a
+TLElem, the reps.LinComb whose keys are diagrams and whose coefficients are
+Laurent polynomials.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .braid import BraidWord
 from .matrix import RingMatrix
-from .reps import Param, RelationReport, _resolve_param, _verify
+from .reps import LinComb, Param, RelationReport, _resolve_param, _verify
 from .ring import LaurentPoly, integer, variable
 
 # Loop scalar of the algebra, fixed by the square of a generator.
@@ -134,27 +136,25 @@ def compose_diagrams(top: TLDiagram, bottom: TLDiagram) -> tuple[TLDiagram, int]
     result = [-1] * (2 * n)
     visited_mid = [False] * n
 
-    def walk(side: int, idx: int) -> tuple[int, int]:
+    def walk(side: int, idx: int) -> int:
         # side 1 = inside top diagram, side 2 = inside bottom diagram
         while True:
             nxt = (m1 if side == 1 else m2)[idx]
             if side == 1:
                 if nxt < n:
-                    return 1, nxt
+                    return nxt
                 visited_mid[nxt - n] = True
                 side, idx = 2, nxt - n
             else:
                 if nxt >= n:
-                    return 2, nxt
+                    return nxt
                 visited_mid[nxt] = True
                 side, idx = 1, nxt + n
 
     for start in range(2 * n):
         if result[start] != -1:
             continue
-        side, idx = (1, start) if start < n else (2, start)
-        end_side, end_idx = walk(side, idx)
-        end = end_idx if end_side == 1 else end_idx
+        end = walk(1 if start < n else 2, start)
         result[start] = end
         result[end] = start
     loops = 0
@@ -183,92 +183,24 @@ def _coeff(value) -> LaurentPoly:
     raise ValueError(f"coefficient {value} is not an integer or a Laurent polynomial")
 
 
-class TLElem:
+class TLElem(LinComb):
     """Linear combination of diagrams with Laurent-polynomial coefficients."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
+    _coeff = staticmethod(_coeff)
 
-    def __init__(self, n: int, terms: Mapping[TLDiagram, object] | None = None):
-        self.n = n
-        cleaned: dict[TLDiagram, LaurentPoly] = {}
-        if terms:
-            for diag, value in terms.items():
-                coeff = _coeff(value)
-                if coeff:
-                    cleaned[diag] = coeff
-        self.terms = cleaned
+    @staticmethod
+    def _basis_mul(d1: TLDiagram, d2: TLDiagram) -> tuple[TLDiagram, LaurentPoly | None]:
+        diag, loops = compose_diagrams(d1, d2)
+        return diag, LOOP ** loops if loops else None
 
     @classmethod
     def unit(cls, n: int) -> TLElem:
-        return cls(n, {TLDiagram.identity(n): integer(1)})
+        return cls(n, {TLDiagram.identity(n): 1})
 
     @classmethod
     def generator(cls, n: int, i: int) -> TLElem:
-        return cls(n, {TLDiagram.cup_cap(n, i): integer(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: TLElem) -> None:
-        if self.n != other.n:
-            raise ValueError("strand count mismatch")
-
-    def __add__(self, other: TLElem) -> TLElem:
-        self._check(other)
-        out = dict(self.terms)
-        for diag, coeff in other.terms.items():
-            s = out.get(diag)
-            out[diag] = coeff if s is None else s + coeff
-        return TLElem(self.n, out)
-
-    def __neg__(self) -> TLElem:
-        return TLElem(self.n, {d: -c for d, c in self.terms.items()})
-
-    def __sub__(self, other: TLElem) -> TLElem:
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, TLElem):
-            self._check(other)
-            out: dict[TLDiagram, LaurentPoly] = {}
-            for d1, c1 in self.terms.items():
-                for d2, c2 in other.terms.items():
-                    diag, loops = compose_diagrams(d1, d2)
-                    coeff = c1 * c2 * LOOP ** loops
-                    s = out.get(diag)
-                    total = coeff if s is None else s + coeff
-                    if total:
-                        out[diag] = total
-                    else:
-                        out.pop(diag, None)
-            return TLElem(self.n, out)
-        return self.scalar_mul(other)
-
-    def __rmul__(self, other):
-        return self.scalar_mul(other)
-
-    def scalar_mul(self, value) -> TLElem:
-        coeff = _coeff(value)
-        return TLElem(self.n, {d: coeff * c for d, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, TLElem):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for diag in sorted(self.terms):
-            parts.append(f"({self.terms[diag]}) * [{diag}]")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"TLElem({self!s})"
+        return cls(n, {TLDiagram.cup_cap(n, i): 1})
 
 
 def tl_unit(n: int) -> TLElem:

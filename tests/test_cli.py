@@ -136,15 +136,22 @@ def test_output_determinism(capsys):
 
 def test_output_determinism_across_processes():
     # Byte-identical output under fresh interpreters (hash randomization on).
+    # The child finds the package where this process imported it from.
+    import os
     import subprocess
     import sys
 
+    import braidrep
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(braidrep.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
     argv = [
         sys.executable, "-m", "braidrep.cli",
         "markov", "--n", "2", "--word", "1", "--depth", "2", "--max-strands", "3",
     ]
     runs = {
-        subprocess.run(argv, capture_output=True, check=True).stdout
+        subprocess.run(argv, capture_output=True, check=True, env=env).stdout
         for _ in range(2)
     }
     assert len(runs) == 1

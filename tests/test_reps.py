@@ -196,7 +196,9 @@ def test_lkb_ext_rational_parameters():
     assert lkb_ext(3, Fraction(1, 2)).sigma_inv_images == lkb(3).sigma_inv_images
 
 
-def test_each_generator_inverted_once(monkeypatch):
+@pytest.fixture
+def inverse_calls(monkeypatch):
+    """The matrices passed to RingMatrix.inverse while the test runs."""
     calls = []
     inverse = RingMatrix.inverse
 
@@ -205,11 +207,26 @@ def test_each_generator_inverted_once(monkeypatch):
         return inverse(self)
 
     monkeypatch.setattr(RingMatrix, "inverse", counting)
+    return calls
+
+
+def test_each_generator_inverted_once(inverse_calls):
+    calls = inverse_calls
     for build in (lkb, lkb_ext, exterior_square_burau, burau_ext,
                   lambda n: singular_extension_by_affine_combination(burau(n))):
+        for cached in (burau, lkb, exterior_square_burau):
+            cached.cache_clear()
         calls.clear()
         build(4)
         assert len(calls) == 3
+
+
+@pytest.mark.parametrize("build", [lkb, lkb_ext])
+def test_rebuild_inverts_nothing(inverse_calls, build):
+    build(4)
+    inverse_calls.clear()
+    build(4)
+    assert inverse_calls == []
 
 
 def test_rep_apply_homomorphism():
