@@ -1,10 +1,13 @@
-"""Dense square matrices over the Laurent ring or its fraction field.
+"""Square matrices over the Laurent ring or its fraction field.
 
 Entries are LaurentPoly ("laurent" ring) or RatFunc ("ratfunc" ring),
 uniformly per matrix.  Coordinates are row vectors: the row indexed by a
 basis vector holds the coefficients of its image, and words of group
 elements map to matrix products in word order.
 
+Every matrix product, here and in the rational solver of reps, is one
+sparse row-wise product (Gustavson, ACM TOMS 4(3), 1978) over each row's
+nonzero entries, for any entry type: LaurentPoly, RatFunc or Fraction.
 Determinants, characteristic polynomials and inverses come from one
 division-free routine, Berkowitz's algorithm (Inf. Proc. Letters 18, 1984),
 which uses ring operations only.  The inverse follows from the same
@@ -26,6 +29,8 @@ from .ring import (
     ZERO,
     LaurentPoly,
     RatFunc,
+    _coerce_poly,
+    _coerce_ratfunc,
     parse_poly,
     parse_ratfunc,
 )
@@ -38,18 +43,14 @@ class SingularMatrixError(ArithmeticError):
     """Inversion was requested for a matrix with zero determinant."""
 
 
-def _coerce_entry(ring: str, value):
-    if ring == RING_LAURENT:
-        if isinstance(value, LaurentPoly):
-            return value
-        if isinstance(value, int):
-            return LaurentPoly.integer(value)
-        raise TypeError(f"expected a Laurent entry, got {type(value).__name__}")
-    if isinstance(value, RatFunc):
-        return value
-    if isinstance(value, (int, LaurentPoly, Fraction)):
-        return RatFunc(value) if not isinstance(value, Fraction) else RatFunc.from_fraction(value)
-    raise TypeError(f"expected a RatFunc entry, got {type(value).__name__}")
+def coerce_entry(ring: str, value):
+    """value as an entry of the ring; TypeError when it has no place there."""
+    laurent = ring == RING_LAURENT
+    entry = (_coerce_poly if laurent else _coerce_ratfunc)(value)
+    if entry is NotImplemented:
+        kind = "Laurent" if laurent else "RatFunc"
+        raise TypeError(f"expected a {kind} entry, got {type(value).__name__}")
+    return entry
 
 
 def _ring_of(rows: Sequence[Sequence]) -> str:
@@ -77,22 +78,22 @@ class RingMatrix:
             raise ValueError(f"unknown ring tag {ring!r}")
         self.dim = dim
         self.ring = ring
-        self.rows = tuple(tuple(_coerce_entry(ring, e) for e in row) for row in rows)
+        kind = LaurentPoly if ring == RING_LAURENT else RatFunc
+        self.rows = tuple(tuple(e if type(e) is kind else coerce_entry(ring, e) for e in row)
+                          for row in rows)
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def identity(cls, dim: int, ring: str = RING_LAURENT) -> RingMatrix:
-        one = ONE if ring == RING_LAURENT else RatFunc(ONE)
-        zero = ZERO if ring == RING_LAURENT else RatFunc(ZERO)
+        one, zero = coerce_entry(ring, 1), coerce_entry(ring, 0)
         return cls(
             [[one if i == j else zero for j in range(dim)] for i in range(dim)], ring
         )
 
     @classmethod
     def zero(cls, dim: int, ring: str = RING_LAURENT) -> RingMatrix:
-        zero = ZERO if ring == RING_LAURENT else RatFunc(ZERO)
-        return cls([[zero] * dim for _ in range(dim)], ring)
+        return cls([[coerce_entry(ring, 0)] * dim for _ in range(dim)], ring)
 
     # -- structure ------------------------------------------------------------
 
@@ -156,27 +157,13 @@ class RingMatrix:
     def __sub__(self, other):
         return self._entrywise(other, operator.sub)
 
-    def __neg__(self):
-        return self.map_entries(lambda e: -e)
-
     def __mul__(self, other):
         if isinstance(other, RingMatrix):
             a, b = self._check_compatible(other)
-            dim = a.dim
-            brows = b.rows
-            out = []
-            for i in range(dim):
-                arow = a.rows[i]
-                row = []
-                for j in range(dim):
-                    acc = arow[0] * brows[0][j]
-                    for k in range(1, dim):
-                        entry = arow[k]
-                        if entry:
-                            acc = acc + entry * brows[k][j]
-                    row.append(acc)
-                out.append(row)
-            return RingMatrix(out, a.ring)
+            zero = coerce_entry(a.ring, 0)
+            product = sparse_mul(sparse_rows(a.rows), sparse_rows(b.rows))
+            return RingMatrix([[row.get(j, zero) for j in range(a.dim)] for row in product],
+                              a.ring)
         return self.scalar_mul(other)
 
     def __rmul__(self, other):
@@ -185,22 +172,8 @@ class RingMatrix:
     def scalar_mul(self, scalar) -> RingMatrix:
         if isinstance(scalar, (RatFunc, Fraction)) and self.ring == RING_LAURENT:
             return self.to_ratfunc().scalar_mul(scalar)
-        s = _coerce_entry(self.ring, scalar)
+        s = coerce_entry(self.ring, scalar)
         return self.map_entries(lambda e: s * e)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        result = RingMatrix.identity(self.dim, self.ring)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     # -- determinant, inverse, characteristic polynomial ------------------------
 
@@ -228,19 +201,15 @@ class RingMatrix:
         last = coeffs[-1]
         if not last:
             raise SingularMatrixError("matrix is singular")
-        # Rows of B as {column: nonzero entry}, starting from c_0 * I = I.
+        # Sparse rows of B, starting from c_0 * I = I.
         b = [{i: ONE} for i in range(self.dim)]
-        nonzero = _nonzero_entries(rows)
+        a = sparse_rows(rows)
         for c in coeffs[1:-1]:
-            new = []
-            for i, pairs in enumerate(nonzero):
-                row = {i: c} if c else {}
-                for j, x in pairs:
-                    for col, y in b[j].items():
-                        prev = row.get(col)
-                        row[col] = x * y if prev is None else prev + x * y
-                new.append({col: e for col, e in row.items() if e})
-            b = new
+            b = sparse_mul(a, b)
+            for i, row in enumerate(b):
+                e = c + row.pop(i, ZERO)
+                if e:
+                    row[i] = e
         zero = RatFunc(ZERO)
         return RingMatrix(
             [[RatFunc(-row[j] * d, last) if j in row else zero for j, d in enumerate(dens)]
@@ -316,8 +285,28 @@ def _scale_rows(rows: Sequence[Sequence[RatFunc]]) -> tuple[list[list[LaurentPol
     return scaled, dens
 
 
-def _nonzero_entries(rows: Sequence[Sequence[LaurentPoly]]) -> list[list[tuple[int, LaurentPoly]]]:
-    return [[(j, e) for j, e in enumerate(row) if e] for row in rows]
+def sparse_rows(rows: Sequence[Sequence]) -> list[dict]:
+    """Each row as {column: entry} over its nonzero entries."""
+    return [{j: e for j, e in enumerate(row) if e} for row in rows]
+
+
+def sparse_mul(left: Sequence[Mapping], right: Sequence[Mapping]) -> list[dict]:
+    """Sparse rows of the product of two matrices given by their sparse rows.
+
+    Gustavson's row-wise product: row i of the result sums x * right[k] over
+    the entries (k, x) of left[i], and entries that cancel to zero are
+    dropped.  Entries are of any one type with +, * and a truth value:
+    LaurentPoly, RatFunc or Fraction.
+    """
+    out = []
+    for lrow in left:
+        acc = {}
+        for k, x in lrow.items():
+            for j, y in right[k].items():
+                prev = acc.get(j)
+                acc[j] = x * y if prev is None else prev + x * y
+        out.append({j: e for j, e in acc.items() if e})
+    return out
 
 
 def _sparse_dot(pairs: Iterable[tuple[int, LaurentPoly]], vec: Sequence[LaurentPoly]) -> LaurentPoly:
@@ -341,16 +330,17 @@ def _berkowitz(rows: Sequence[Sequence[LaurentPoly]]) -> list[LaurentPoly]:
     entries of each row only, and not at all when r or c is zero.
     """
     dim = len(rows)
-    nonzero = _nonzero_entries(rows)
+    nonzero = sparse_rows(rows)
     poly = [ONE, -rows[-1][-1]]
     for k in range(dim - 2, -1, -1):
         m = dim - k - 1
-        r = [(j, e) for j, e in nonzero[k] if j > k]
+        r = [(j, e) for j, e in nonzero[k].items() if j > k]
         # vec is indexed by column; its first k + 1 entries are never read.
         vec = [ZERO] * (k + 1) + [row[k] for row in rows[k + 1:]]
         s = [rows[k][k]] + [ZERO] * m
         if r and any(vec):
-            block = [[(j, e) for j, e in nonzero[i] if j > k] for i in range(k + 1, dim)]
+            block = [[(j, e) for j, e in nonzero[i].items() if j > k]
+                     for i in range(k + 1, dim)]
             s[1] = _sparse_dot(r, vec)
             for i in range(2, m + 1):
                 vec[k + 1:] = [_sparse_dot(row, vec) for row in block]

@@ -33,7 +33,7 @@ from typing import Callable, Mapping
 
 from .braid import BraidWord, relation_set, sigma
 from .garside import NormalForm, nf_inverse, nf_mul, to_normal_form
-from .matrix import RING_LAURENT, RING_RATFUNC, RingMatrix
+from .matrix import RING_LAURENT, RING_RATFUNC, RingMatrix, coerce_entry, sparse_mul, sparse_rows
 from .ring import LaurentPoly, RatFunc, integer, parse_poly, variable
 
 Param = LaurentPoly | Fraction | int | str | None
@@ -363,16 +363,6 @@ def det_tau_b4_diff() -> dict:
 
 # -- group-algebra representation ----------------------------------------------------
 
-def _ga_coeff(value) -> RatFunc:
-    if isinstance(value, RatFunc):
-        return value
-    if isinstance(value, Fraction):
-        return RatFunc.from_fraction(value)
-    if isinstance(value, (int, LaurentPoly)):
-        return RatFunc(value)
-    raise TypeError(f"bad coefficient {value!r}")
-
-
 class LinComb:
     """Finite linear combination of basis keys, the element type of an algebra.
 
@@ -459,7 +449,10 @@ class GroupAlgebraElem(LinComb):
     """Finite linear combination of braids, keyed by Garside normal form."""
 
     __slots__ = ()
-    _coeff = staticmethod(_ga_coeff)
+
+    @staticmethod
+    def _coeff(value) -> RatFunc:
+        return coerce_entry(RING_RATFUNC, value)
 
     @staticmethod
     def _basis_mul(k1: NormalForm, k2: NormalForm) -> tuple[NormalForm, None]:
@@ -530,23 +523,17 @@ def singular_extension_by_affine_combination(rep: MatrixRep, a: Param = None,
 #
 # The images T_i of the singular generators under any extension of LKB must
 # commute with the images of the crossings they commute with, and satisfy the
-# long relations, which determine T_{i+1} from T_i by conjugation.  At an
-# evaluation point this is a linear system in the entries of T_1; its exact
-# rational nullspace is computed below.
+# long relations, which determine T_{i+1} from T_i by conjugation:
+# T_i = A_i X B_i with X = T_1, A_1 = B_1 = I, A_{i+1} = S_i S_{i+1} A_i and
+# B_{i+1} = B_i (S_i S_{i+1})^-1, so B_i = A_i^-1 throughout.  Hence
+# T_i M - M T_i = A_i (XN - NX) B_i with N = B_i M A_i, and T_i commutes with
+# M exactly when X commutes with N: each constraint is the commutant of one N,
+# and entry (r, s) of XN - NX puts N[k][s] at X[r][k] and -N[r][k] at X[k][s].
+# At an evaluation point this is a linear system in the entries of T_1; its
+# exact rational nullspace is computed below.  Matrices over Q are held as
+# sparse rows and multiplied by matrix.sparse_mul.
 
 FractRows = list[list[Fraction]]
-
-
-def _f_identity(m: int) -> FractRows:
-    return [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-
-
-def _f_mul(a: FractRows, b: FractRows) -> FractRows:
-    m = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(m)) for j in range(m)]
-        for i in range(m)
-    ]
 
 
 def _rref(rows: FractRows) -> tuple[FractRows, list[int]]:
@@ -624,40 +611,28 @@ def solve_extension_space(n: int, point: Mapping[str, Fraction | int]) -> Extens
     rep = lkb(n)
     m = rep.dim
     pt = {"q": qv, "t": tv}
-    S = [None] + [
-        [list(row) for row in rep.sigma_image(i).evaluate(pt)] for i in range(1, n)
-    ]
-    S_inv = [None] + [
-        [list(row) for row in rep.sigma_inv_image(i).evaluate(pt)] for i in range(1, n)
-    ]
-    # T_i = A_i X B_i with A_1 = B_1 = I and T_{i+1} = (S_i S_{i+1}) T_i (S_i S_{i+1})^-1.
-    A = [None, _f_identity(m)]
-    B = [None, _f_identity(m)]
+    S = [None] + [sparse_rows(rep.sigma_image(i).evaluate(pt)) for i in range(1, n)]
+    S_inv = [None] + [sparse_rows(rep.sigma_inv_image(i).evaluate(pt)) for i in range(1, n)]
+    A = [None, [{r: Fraction(1)} for r in range(m)]]
+    B = [None, A[1]]
     for i in range(1, n - 1):
-        A.append(_f_mul(_f_mul(S[i], S[i + 1]), A[i]))
-        B.append(_f_mul(B[i], _f_mul(S_inv[i + 1], S_inv[i])))
-    constraints: list[tuple[int, FractRows]] = []
-    for i in range(1, n):
-        constraints.append((i, S[i]))
-        for j in range(1, n):
-            if abs(i - j) >= 2:
-                constraints.append((i, S[j]))
+        A.append(sparse_mul(sparse_mul(S[i], S[i + 1]), A[i]))
+        B.append(sparse_mul(B[i], sparse_mul(S_inv[i + 1], S_inv[i])))
+    # T_i commutes with S_i and with every S_j, |i - j| >= 2.
+    constraints = [(i, S[j]) for i in range(1, n) for j in range(1, n) if abs(i - j) != 1]
     for i in range(1, n - 1):
-        constraints.append((i, _f_mul(_f_mul(S[i + 1], S[i]), _f_mul(S[i], S[i + 1]))))
+        constraints.append((i, sparse_mul(sparse_mul(S[i + 1], S[i]),
+                                          sparse_mul(S[i], S[i + 1]))))
     rows: FractRows = []
     for i, M in constraints:
-        BM = _f_mul(B[i], M)
-        MA = _f_mul(M, A[i])
+        N = [[row.get(c, 0) for c in range(m)]
+             for row in sparse_mul(sparse_mul(B[i], M), A[i])]
         for r in range(m):
             for s in range(m):
                 row = [Fraction(0)] * (m * m)
-                for j in range(m):
-                    arj = A[i][r][j]
-                    maj = MA[r][j]
-                    for k in range(m):
-                        coeff = arj * BM[k][s] - maj * B[i][k][s]
-                        if coeff:
-                            row[j * m + k] += coeff
+                for k in range(m):
+                    row[r * m + k] += N[k][s]
+                    row[k * m + s] -= N[r][k]
                 if any(row):
                     rows.append(row)
     basis_vectors = _nullspace(rows, m * m)
@@ -665,7 +640,7 @@ def solve_extension_space(n: int, point: Mapping[str, Fraction | int]) -> Extens
         tuple(tuple(vec[r * m + c] for c in range(m)) for r in range(m))
         for vec in basis_vectors
     ]
-    s1_flat = [S[1][r][c] for r in range(m) for c in range(m)]
+    s1_flat = [S[1][r].get(c, 0) for r in range(m) for c in range(m)]
     id_flat = [Fraction(int(r == c)) for r in range(m) for c in range(m)]
     contains_s1 = _in_span(basis_vectors, s1_flat)
     contains_id = _in_span(basis_vectors, id_flat)
@@ -686,12 +661,13 @@ def solve_extension_space(n: int, point: Mapping[str, Fraction | int]) -> Extens
 def _quadratic_commutations_hold(n: int, A, B, basis_vectors, m: int) -> bool:
     """Check tau_i tau_j = tau_j tau_i, |i-j| >= 2, on the whole solution span."""
 
-    def lift(i: int, vec) -> FractRows:
-        X = [[vec[r * m + c] for c in range(m)] for r in range(m)]
-        return _f_mul(_f_mul(A[i], X), B[i])
+    def lift(i: int, vec) -> list[dict]:
+        X = sparse_rows([vec[r * m:(r + 1) * m] for r in range(m)])
+        return sparse_mul(sparse_mul(A[i], X), B[i])
 
-    def commutator(x: FractRows, y: FractRows) -> FractRows:
-        return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(_f_mul(x, y), _f_mul(y, x))]
+    def commutator(x, y) -> FractRows:
+        xy, yx = sparse_mul(x, y), sparse_mul(y, x)
+        return [[ra.get(c, 0) - rb.get(c, 0) for c in range(m)] for ra, rb in zip(xy, yx)]
 
     k = len(basis_vectors)
     lifted = {(i, r): lift(i, vec) for i in range(1, n) for r, vec in enumerate(basis_vectors)}

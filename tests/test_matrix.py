@@ -5,8 +5,8 @@ import pytest
 
 from braidrep.braid import BraidWord
 from braidrep.matrix import RingMatrix, SingularMatrixError
-from braidrep.reps import exterior_square_burau, lkb, rep_apply
-from braidrep.ring import RatFunc, integer, variable
+from braidrep.reps import GroupAlgebraElem, exterior_square_burau, lkb, rep_apply
+from braidrep.ring import LaurentPoly, RatFunc, integer, variable
 from conftest import rand_poly
 
 q = variable("q")
@@ -51,6 +51,55 @@ def test_affine_combination_matches_singular_image():
         ]
     )
     assert combo == expected
+
+
+def _dense_product(a, b):
+    """Sum-of-products reference over every entry, zeros included."""
+    dim = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(1, dim)), a[i][0] * b[0][j])
+             for j in range(dim)] for i in range(dim)]
+
+
+def _random_sparse_rows(rng, dim, entry):
+    return [[entry() if rng.random() < 0.4 else 0 for _ in range(dim)] for _ in range(dim)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_product_matches_dense_reference(seed):
+    rng = random.Random(seed)
+    dim = rng.randint(1, 4)
+
+    def poly():
+        return rand_poly(rng, terms=2, laurent=True)
+
+    def ratfunc():
+        return RatFunc(poly(), rng.choice((q + 1, t - 2, q * t + 1, q ** 2)))
+
+    lau = [RingMatrix(_random_sparse_rows(rng, dim, poly), "laurent") for _ in range(2)]
+    rat = [RingMatrix(_random_sparse_rows(rng, dim, ratfunc), "ratfunc") for _ in range(2)]
+    for a, b in (lau, rat, (lau[0], rat[1]), (rat[0], lau[1])):
+        ring = "laurent" if a.ring == b.ring == "laurent" else "ratfunc"
+        product = a * b
+        assert product.ring == ring
+        expected = _dense_product(a.rows, b.rows)
+        assert product == RingMatrix(expected, ring)
+        assert product.to_json() == RingMatrix(expected, ring).to_json()
+
+
+def test_product_entries_that_cancel_are_the_ring_zero():
+    a = RingMatrix([[1, 1, 0], [q, 0, 1], [0, 0, 1]])
+    b = RingMatrix([[t, q, 0], [-t, 1, 0], [-q * t, 0, 0]])
+    for x, y in ((a, b), (a.to_ratfunc(), b.to_ratfunc()), (a, b.to_ratfunc())):
+        product = x * y
+        kind = LaurentPoly if product.ring == "laurent" else RatFunc
+        # (0, 0) is t - t, (1, 0) is q*t - q*t; the last column has no terms.
+        for i, j in ((0, 0), (1, 0), (0, 2), (1, 2), (2, 2)):
+            entry = product[i, j]
+            assert type(entry) is kind and entry == 0 and not entry
+            assert entry == RingMatrix.zero(3, product.ring)[i, j]
+            assert product.to_json_dict()["rows"][i][j] == "0"
+        assert product[0, 1] == q + 1
+    assert RingMatrix.zero(3) * a == RingMatrix.zero(3)
 
 
 def test_det_golden():
@@ -282,3 +331,18 @@ def test_dimension_mismatch_rejected():
     a2 = RingMatrix.identity(2)
     with pytest.raises(ValueError):
         a2 + RingMatrix.identity(3)
+
+
+def test_entries_outside_the_ring_rejected():
+    for rows, ring in (([[Fraction(1, 2)]], "laurent"), ([[RatFunc(q)]], "laurent"),
+                       ([["q"]], "laurent"), ([[1.5]], "ratfunc")):
+        with pytest.raises(TypeError):
+            RingMatrix(rows, ring)
+    with pytest.raises(TypeError):
+        RingMatrix.identity(2).scalar_mul("q")
+    # Group-algebra coefficients are coerced into the fraction field the same way.
+    unit = GroupAlgebraElem.unit(3)
+    assert unit.scalar_mul(Fraction(1, 2)) == unit.scalar_mul(RatFunc(1, 2))
+    for bad in ("q", 1.5, None):
+        with pytest.raises(TypeError):
+            unit.scalar_mul(bad)

@@ -469,6 +469,95 @@ def test_squared_crossing_is_an_extension():
         assert verify_relations(rep).all_ok
 
 
+def _kronecker_solution(n, point):
+    """The extension solver with every product dense and each constraint row
+    built by the Kronecker loop over A_i, B_i, B_i M and M A_i: entry (r, s)
+    of A_i X B_i M - M A_i X B_i puts A_i[r][j] (B_i M)[k][s] - (M A_i)[r][j]
+    B_i[k][s] at X[j][k]."""
+    from braidrep.reps import _in_span, _nullspace
+
+    def mul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
+
+    rep = lkb(n)
+    m = rep.dim
+    S = [None] + [[list(r) for r in rep.sigma_image(i).evaluate(point)] for i in range(1, n)]
+    S_inv = [None] + [[list(r) for r in rep.sigma_inv_image(i).evaluate(point)]
+                      for i in range(1, n)]
+    ident = [[Fraction(int(r == c)) for c in range(m)] for r in range(m)]
+    A, B = [None, ident], [None, ident]
+    for i in range(1, n - 1):
+        A.append(mul(mul(S[i], S[i + 1]), A[i]))
+        B.append(mul(B[i], mul(S_inv[i + 1], S_inv[i])))
+    constraints = [(i, S[j]) for i in range(1, n) for j in range(1, n) if abs(i - j) != 1]
+    constraints += [(i, mul(mul(S[i + 1], S[i]), mul(S[i], S[i + 1]))) for i in range(1, n - 1)]
+    rows = []
+    for i, M in constraints:
+        BM, MA = mul(B[i], M), mul(M, A[i])
+        for r in range(m):
+            for s in range(m):
+                row = [Fraction(0)] * (m * m)
+                for j in range(m):
+                    for k in range(m):
+                        row[j * m + k] += A[i][r][j] * BM[k][s] - MA[r][j] * B[i][k][s]
+                if any(row):
+                    rows.append(row)
+    vectors = _nullspace(rows, m * m)
+    matrices = [[vec[r * m:(r + 1) * m] for r in range(m)] for vec in vectors]
+    quadratic_ok = None
+    if n >= 4:
+        lifted = {(i, r): mul(mul(A[i], x), B[i])
+                  for i in range(1, n) for r, x in enumerate(matrices)}
+
+        def comm(i, r, j, s):
+            x, y = lifted[i, r], lifted[j, s]
+            return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(mul(x, y), mul(y, x))]
+
+        k = len(vectors)
+        quadratic_ok = all(
+            not any(map(any, comm(i, r, j, r)))
+            and all(not any(a + b for ra, rb in zip(comm(i, r, j, s), comm(i, s, j, r))
+                            for a, b in zip(ra, rb))
+                    for s in range(r + 1, k))
+            for i in range(1, n) for j in range(i + 2, n) for r in range(k)
+        )
+    return {
+        "dimension": len(vectors),
+        "basis_matrices": tuple(tuple(map(tuple, x)) for x in matrices),
+        "contains_generator_image": _in_span(vectors, [x for row in S[1] for x in row]),
+        "contains_identity": _in_span(vectors, [x for row in ident for x in row]),
+        "quadratic_ok": quadratic_ok,
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_extension_space_matches_kronecker_rows(n):
+    rng = random.Random(f"solve-ext/{n}")
+    for _ in range(10):
+        qv = tv = Fraction(0)
+        while qv in (0, 1, -1):
+            qv = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        while tv == 0:
+            tv = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        point = {"q": qv, "t": tv}
+        solution = solve_extension_space(n, point)
+        expected = _kronecker_solution(n, point)
+        assert {key: getattr(solution, key) for key in expected} == expected, point
+
+
+def test_in_span_rejects_a_matrix_outside_the_span():
+    from braidrep.reps import _in_span
+
+    assert not _in_span([[Fraction(1), Fraction(0)]], [Fraction(0), Fraction(1)])
+    solution = solve_extension_space(3, {"q": Fraction(2), "t": Fraction(3)})
+    vectors = [[x for row in mat for x in row] for mat in solution.basis_matrices]
+    # I, S1 and S1^2 all have a zero (0, 1) entry at n = 3, so the matrix unit
+    # E_01 is outside their span; E_00 + E_11 + E_22 is inside.
+    unit = [Fraction(int(k == 1)) for k in range(9)]
+    assert not _in_span(vectors, unit)
+    assert _in_span(vectors, [Fraction(int(k in (0, 4, 8))) for k in range(9)])
+
+
 def test_degenerate_points_rejected():
     for bad in ({"q": 1, "t": 2}, {"q": 0, "t": 2}, {"q": -1, "t": 2}, {"q": 2, "t": 0}):
         with pytest.raises(DegeneratePointError):
