@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import gcd, lcm
 from typing import Callable, Mapping
 
 from .braid import BraidWord, relation_set, sigma
@@ -532,31 +533,54 @@ def singular_extension_by_affine_combination(rep: MatrixRep, a: Param = None,
 # At an evaluation point this is a linear system in the entries of T_1; its
 # exact rational nullspace is computed below.  Matrices over Q are held as
 # sparse rows and multiplied by matrix.sparse_mul.
+#
+# _rref eliminates over the integers (fraction-free): each row is scaled by the
+# lcm of its denominators, reduced against the pivot rows found so far by
+# gcd-scaled combinations a*v - b*p, and kept, divided by its content, if it is
+# not zero.  One back-substitution over the r <= m^2 pivot rows then clears the
+# pivot columns, and only the final rows are divided by their pivots.  The
+# reduced row echelon form of a matrix is unique, so the rows and pivots are
+# those of a Gauss-Jordan elimination over Q, and so are every nullspace basis,
+# span test and solver output built on them; only the arithmetic differs.
 
 FractRows = list[list[Fraction]]
 
 
+def _eliminate(v: list[int], p: list[int], c: int) -> list[int]:
+    """a*v - b*p with a, b = p[c], v[c] over their gcd, so entry c becomes zero."""
+    g = gcd(v[c], p[c])
+    a, b = p[c] // g, v[c] // g
+    return [a * x - b * y for x, y in zip(v, p)]
+
+
 def _rref(rows: FractRows) -> tuple[FractRows, list[int]]:
-    rows = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
     cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
+    found: list[tuple[int, list[int]]] = []  # (pivot column, integer row) in order found
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        v = [x.numerator * (d // x.denominator) for x in row]
+        for c, p in found:
+            if v[c]:
+                v = _eliminate(v, p, c)
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+        g = gcd(*v)
+        found.append((c, [x // g for x in v]))
+        if len(found) == cols:
             break
-    return rows[:r], pivots
+    # Row k is zero in the pivot columns found before it, so clearing the
+    # columns from the last found back to the first reintroduces nothing.
+    for k in range(len(found) - 1, 0, -1):
+        c, p = found[k]
+        for j in range(k):
+            cj, v = found[j]
+            if v[c]:
+                v = _eliminate(v, p, c)
+                g = gcd(*v)
+                found[j] = (cj, [x // g for x in v])
+    found.sort()
+    return [[Fraction(x, p[c]) for x in p] for c, p in found], [c for c, _ in found]
 
 
 def _nullspace(rows: FractRows, cols: int) -> list[list[Fraction]]:

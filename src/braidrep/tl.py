@@ -215,8 +215,8 @@ def tl_rho(n: int, word: BraidWord, a: Param = None, b: Param = None) -> TLElem:
     """Image of a singular braid word under the map into the algebra."""
     if word.n != n:
         raise ValueError("strand count mismatch")
-    av = _resolve_param(a, "a")
-    bv = _resolve_param(b, "b")
+    av = _coeff(_resolve_param(a, "a"))
+    bv = _coeff(_resolve_param(b, "b"))
     t = variable("t")
     tinv = variable("t", -1)
     result = TLElem.unit(n)

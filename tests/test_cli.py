@@ -187,11 +187,21 @@ def test_golden_values_reachable_through_cli(capsys, argv, needle):
 
 
 def test_tl_rational_param_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "tl", "--n", "3", "--word", "t1", "--param", "a=1/2")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    # Rejected whether or not the word has a singular letter that uses it.
+    for word in ("t1", "1"):
+        for param in ("a=1/2", "b=-3/4"):
+            code, out, err = run(capsys, "tl", "--n", "3", "--word", word, "--param", param)
+            assert code == 2 and out == "", (word, param)
+            assert err.startswith("error:") and err.count("\n") == 1
     code, _, err = run(capsys, "tl", "--n", "4", "--verify", "--param", "a=1/2")
     assert code == 2 and err.startswith("error:")
+
+
+def test_tl_integer_param_on_a_crossing_word_is_accepted(capsys):
+    image = "(t^-1) * [(1,2) (3,3') (1',2')] + (t) * [(1,1') (2,2') (3,3')]\n"
+    for extra in ((), ("--param", "a=2"), ("--param", "a=2", "--param", "b=-3")):
+        code, out, err = run(capsys, "tl", "--n", "3", "--word", "1", "--out", "text", *extra)
+        assert (code, out, err) == (0, image, "")
 
 
 def test_markov_negative_bounds_rejected(capsys):

@@ -469,12 +469,53 @@ def test_squared_crossing_is_an_extension():
         assert verify_relations(rep).all_ok
 
 
+def _fraction_rref(rows):
+    """Gauss-Jordan elimination in Fraction arithmetic: the reference for the
+    library's integer elimination, with which it shares no code."""
+    rows = [row[:] for row in rows]
+    pivots = []
+    r = 0
+    cols = len(rows[0]) if rows else 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def _fraction_nullspace(rows, cols):
+    rref, pivots = _fraction_rref(rows or [[Fraction(0)] * cols])
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rref[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def _fraction_in_span(basis, target):
+    return len(_fraction_rref(basis + [target])[1]) == len(basis)
+
+
 def _kronecker_solution(n, point):
-    """The extension solver with every product dense and each constraint row
-    built by the Kronecker loop over A_i, B_i, B_i M and M A_i: entry (r, s)
+    """The extension solver with every product dense, each constraint row
+    built by the Kronecker loop over A_i, B_i, B_i M and M A_i (entry (r, s)
     of A_i X B_i M - M A_i X B_i puts A_i[r][j] (B_i M)[k][s] - (M A_i)[r][j]
-    B_i[k][s] at X[j][k]."""
-    from braidrep.reps import _in_span, _nullspace
+    B_i[k][s] at X[j][k]) and the nullspace taken by the Fraction Gauss-Jordan
+    elimination above."""
 
     def mul(x, y):
         return [[sum(x[i][k] * y[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
@@ -502,7 +543,7 @@ def _kronecker_solution(n, point):
                         row[j * m + k] += A[i][r][j] * BM[k][s] - MA[r][j] * B[i][k][s]
                 if any(row):
                     rows.append(row)
-    vectors = _nullspace(rows, m * m)
+    vectors = _fraction_nullspace(rows, m * m)
     matrices = [[vec[r * m:(r + 1) * m] for r in range(m)] for vec in vectors]
     quadratic_ok = None
     if n >= 4:
@@ -524,8 +565,8 @@ def _kronecker_solution(n, point):
     return {
         "dimension": len(vectors),
         "basis_matrices": tuple(tuple(map(tuple, x)) for x in matrices),
-        "contains_generator_image": _in_span(vectors, [x for row in S[1] for x in row]),
-        "contains_identity": _in_span(vectors, [x for row in ident for x in row]),
+        "contains_generator_image": _fraction_in_span(vectors, [x for row in S[1] for x in row]),
+        "contains_identity": _fraction_in_span(vectors, [x for row in ident for x in row]),
         "quadratic_ok": quadratic_ok,
     }
 
@@ -543,6 +584,69 @@ def test_extension_space_matches_kronecker_rows(n):
         solution = solve_extension_space(n, point)
         expected = _kronecker_solution(n, point)
         assert {key: getattr(solution, key) for key in expected} == expected, point
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_extension_space_with_large_coefficients(n):
+    # Six- and seven-digit numerators and denominators make the elimination's
+    # integers grow; the result still matches the Fraction reference exactly.
+    point = {"q": Fraction(1000003, 999983), "t": Fraction(-999979, 1000033)}
+    solution = solve_extension_space(n, point)
+    expected = _kronecker_solution(n, point)
+    assert {key: getattr(solution, key) for key in expected} == expected
+    assert solution.dimension == 3
+    _affine_span_checks(solution)
+
+
+def _random_rational_matrices(rng):
+    """Seeded rational matrices covering the shapes an elimination can get
+    wrong: rank-deficient products, duplicate and zero rows, one row, one
+    column, and 12-digit numerators and denominators."""
+
+    def entry(digits):
+        if rng.random() < 0.3:
+            return Fraction(0)
+        top = 10 ** digits
+        return Fraction(rng.randint(-top, top), rng.randint(1, top))
+
+    def matrix(r, c, digits=1):
+        return [[entry(digits) for _ in range(c)] for _ in range(r)]
+
+    for _ in range(8):
+        r, c, k = rng.randint(3, 7), rng.randint(3, 7), rng.randint(1, 2)
+        left, right = matrix(r, k), matrix(k, c)
+        yield [[sum(left[i][j] * right[j][s] for j in range(k)) for s in range(c)]
+               for i in range(r)]
+    for _ in range(8):
+        rows = matrix(rng.randint(1, 5), rng.randint(1, 6))
+        rows.insert(rng.randint(0, len(rows)), rows[rng.randrange(len(rows))][:])
+        rows.insert(rng.randint(0, len(rows)), [Fraction(0)] * len(rows[0]))
+        yield rows
+    for _ in range(4):
+        yield matrix(1, rng.randint(1, 7))
+        yield matrix(rng.randint(1, 7), 1)
+    for _ in range(6):
+        yield matrix(rng.randint(1, 6), rng.randint(1, 6), digits=12)
+    yield [[Fraction(0)] * 4 for _ in range(3)]
+
+
+def test_rref_and_nullspace_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from braidrep.reps import _nullspace, _rref
+
+    rng = random.Random("rref-oracle")
+    for rows in _random_rational_matrices(rng):
+        cols = len(rows[0])
+        reduced, pivots = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+        ).rref()
+        expected = [[Fraction(int(x.p), int(x.q)) for x in reduced.row(i)]
+                    for i in range(len(pivots))]
+        assert _rref(rows) == (expected, list(pivots)), rows
+        basis = _nullspace(rows, cols)
+        assert len(basis) == cols - len(pivots)
+        for vec in basis:
+            assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in rows), rows
 
 
 def test_in_span_rejects_a_matrix_outside_the_span():
