@@ -99,13 +99,7 @@ def free_reduce(word: BraidWord) -> BraidWord:
     """Cancel adjacent sigma_i^{+1} sigma_i^{-1} pairs; no braid-relation rewriting."""
     if not word.is_classical:
         raise ValueError("free reduction applies to classical words only")
-    stack: list[Letter] = []
-    for letter in word.letters:
-        if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return BraidWord(word.n, tuple(stack))
+    return BraidWord(word.n, free_word_reduce(word.letters))
 
 
 # -- Markov moves -------------------------------------------------------------

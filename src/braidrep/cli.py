@@ -17,7 +17,6 @@ from .braid import BraidWord
 from .defects import defect
 from .garside import to_normal_form
 from .invariants import MarkovBounds, charpoly_invariant, enumerate_markov_class
-from .matrix import RingMatrix
 from .reps import (
     MatrixRep,
     birman_image,
@@ -36,13 +35,20 @@ from .reps import (
 from .ring import canonical_string
 from .tl import tl_rho, verify_tl_relations
 
-MATRIX_REPS = ("burau", "burau-ext", "lkb", "lkb-ext", "wedge-burau")
-REP_NAMES = MATRIX_REPS + ("birman",)
-# The --param names each representation (or the tl command) takes.
-PARAM_NAMES = {
-    "burau": (), "burau-ext": ("a",), "lkb": (), "lkb-ext": ("u", "v"),
-    "wedge-burau": (), "birman": ("a", "b", "c"), "tl": ("a", "b"),
+# Each matrix representation: its constructor and the --param names it takes
+# after the strand count, in order.  The lambdas look the constructors up when
+# called, so a wrapper later set on this module's names sees every build.
+MATRIX_REPS = {
+    "burau": (lambda n: burau(n), ()),
+    "burau-ext": (lambda n, a: burau_ext(n, a), ("a",)),
+    "lkb": (lambda n: lkb(n), ()),
+    "lkb-ext": (lambda n, u, v: lkb_ext(n, u, v), ("u", "v")),
+    "wedge-burau": (lambda n: exterior_square_burau(n), ()),
 }
+REP_NAMES = (*MATRIX_REPS, "birman")
+# The --param names each representation (or the tl command) takes.
+PARAM_NAMES = {name: names for name, (_, names) in MATRIX_REPS.items()}
+PARAM_NAMES |= {"birman": ("a", "b", "c"), "tl": ("a", "b")}
 # The largest strand count of a command that builds a matrix representation
 # (LKB matrices have n(n-1)/2 rows): charpoly --n 9 on "1 2 ... 8" takes seconds.
 MAX_MATRIX_STRANDS = 9
@@ -50,6 +56,13 @@ MAX_MATRIX_STRANDS = 9
 
 class UsageError(ValueError):
     pass
+
+
+def _rational(value: str, what: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"bad {what} value {value!r}") from None
 
 
 def _parse_params(items: list[str] | None, subject: str) -> dict[str, object]:
@@ -66,13 +79,7 @@ def _parse_params(items: list[str] | None, subject: str) -> dict[str, object]:
             raise UsageError(f"unknown parameter {name!r} for {subject} (takes {takes})")
         if name in params:
             raise UsageError(f"parameter {name!r} given twice")
-        if value == "sym":
-            params[name] = name
-        else:
-            try:
-                params[name] = Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                raise UsageError(f"bad parameter value {value!r}") from None
+        params[name] = name if value == "sym" else _rational(value, "parameter")
     return params
 
 
@@ -84,17 +91,8 @@ def _check_matrix_strands(n: int, flag: str = "--n") -> None:
 
 def _build_rep(name: str, n: int, params: dict[str, object]) -> MatrixRep:
     _check_matrix_strands(n)
-    if name == "burau":
-        return burau(n)
-    if name == "burau-ext":
-        return burau_ext(n, params.get("a"))
-    if name == "lkb":
-        return lkb(n)
-    if name == "lkb-ext":
-        return lkb_ext(n, params.get("u"), params.get("v"))
-    if name == "wedge-burau":
-        return exterior_square_burau(n)
-    raise UsageError(f"unknown matrix representation {name!r}")
+    constructor, names = MATRIX_REPS[name]
+    return constructor(n, *(params.get(p) for p in names))
 
 
 def _emit(data: dict, out: str, text_fn) -> None:
@@ -104,16 +102,12 @@ def _emit(data: dict, out: str, text_fn) -> None:
         print(text_fn())
 
 
-def _matrix_text(m: RingMatrix) -> str:
-    return str(m)
-
-
 def cmd_rep(args) -> int:
     params = _parse_params(args.param, args.rep)
     rep = _build_rep(args.rep, args.n, params)
     word = BraidWord.parse(args.n, args.word)
     image = rep_apply(rep, word)
-    _emit(image.to_json_dict(), args.out, lambda: _matrix_text(image))
+    _emit(image.to_json_dict(), args.out, lambda: str(image))
     return 0
 
 
@@ -195,12 +189,7 @@ def cmd_defect(args) -> int:
     }
 
     def text() -> str:
-        return (
-            "additive:\n"
-            + _matrix_text(result.additive)
-            + "\nmultiplicative:\n"
-            + _matrix_text(result.multiplicative)
-        )
+        return f"additive:\n{result.additive}\nmultiplicative:\n{result.multiplicative}"
 
     _emit(data, args.out, text)
     return 0
@@ -214,7 +203,7 @@ def cmd_solve_ext(args) -> int:
         name, value = (x.strip() for x in piece.split("=", 1))
         if name in point:
             raise UsageError(f"coordinate {name!r} given twice")
-        point[name] = Fraction(value)
+        point[name] = _rational(value, "--point")
     solution = solve_extension_space(args.n, point)
     data = {
         "n": solution.n,

@@ -14,6 +14,11 @@ Conventions used throughout:
   MatrixRep, so each generator image is inverted once per process.  The
   SM_n constructors take arbitrary parameters, stay uncached and reuse the
   cached base with its inverses.
+* Every SM_n extension is built by one recipe, _extend: over a base's stored
+  images S_i and S_i^-1, tau_i maps to a*S_i + b*S_i^-1 + c*I.  burau_ext is
+  the case (1 - a, 0, a), lkb_ext the case (u, 0, v), and
+  singular_extension_by_affine_combination takes (a, b, c) as given; the
+  Birman map tau -> sigma - sigma^-1 is (1, -1, 0).
 * Elements of an algebra, such as the group algebra of B_n here and the
   Temperley-Lieb algebra in tl, are LinComb instances: sparse linear
   combinations of basis keys, one subclass per algebra.
@@ -105,12 +110,18 @@ def _finish_rep(name: str, n: int, sigmas: list[RingMatrix]) -> MatrixRep:
     return MatrixRep(name, n, sigmas[0].dim, RING_LAURENT, tuple(sigmas), inverses)
 
 
-def _extend(base: MatrixRep, name: str, taus: list[RingMatrix]) -> MatrixRep:
-    """base extended to SM_n by the singular images taus.
+def _extend(base: MatrixRep, name: str, a, b, c) -> MatrixRep:
+    """base extended to SM_n by tau_i -> a*S_i + b*S_i^-1 + c*I, for resolved a, b, c.
 
-    A rational parameter puts the taus over the fraction field; the crossing
-    images then move there too.
+    A zero coefficient adds no term; all three zero give the zero matrix.  A
+    rational coefficient puts the taus over the fraction field, and the
+    crossing images move there too.
     """
+    ident = RingMatrix.identity(base.dim, base.ring)
+    taus = []
+    for s, s_inv in zip(base.sigma_images, base.sigma_inv_images):
+        terms = [m.scalar_mul(x) for m, x in ((s, a), (s_inv, b), (ident, c)) if x]
+        taus.append(sum(terms[1:], terms[0]) if terms else RingMatrix.zero(base.dim, base.ring))
     ring = RING_RATFUNC if any(m.ring == RING_RATFUNC for m in taus) else RING_LAURENT
 
     def convert(images):
@@ -144,45 +155,45 @@ def burau_ext(n: int, a: Param = None) -> MatrixRep:
 
     That is, tau_i maps to (1 - a) * sigma_i-image + a * identity.
     """
-    base = burau(n, "t")
     av = _resolve_param(a, "a")
-    ident = RingMatrix.identity(n)
-    taus = [m.scalar_mul(1 - av) + ident.scalar_mul(av) for m in base.sigma_images]
-    return _extend(base, "burau-ext", taus)
+    return _extend(burau(n, "t"), "burau-ext", 1 - av, 0, av)
 
 
 # -- Lawrence-Krammer-Bigelow ----------------------------------------------------
 
-def _lkb_sigma_rows(n: int, i: int) -> list[list[LaurentPoly]]:
-    q, t = variable("q"), variable("t")
+PairTerms = list[tuple[tuple[int, int], LaurentPoly]]
+
+
+def _pair_rows(n: int, image: Callable[[int, int], PairTerms]) -> list[list[LaurentPoly]]:
+    """Matrix on the pair basis: row (k, l) sums the (pair, value) terms of image(k, l)."""
     basis = pair_basis(n)
     index = {p: r for r, p in enumerate(basis)}
-    m = len(basis)
-    rows = [[integer(0)] * m for _ in range(m)]
-
-    def put(r: int, pair: tuple[int, int], value):
-        rows[r][index[pair]] = rows[r][index[pair]] + value
-
+    rows = [[integer(0)] * len(basis) for _ in basis]
     for r, (k, l) in enumerate(basis):
-        if k != i and k != i + 1 and l != i and l != i + 1:
-            put(r, (k, l), integer(1))
-        elif k == i + 1:
-            put(r, (i, l), integer(1))
-        elif k == i and l == i + 1:
-            put(r, (i, i + 1), t * q ** 2)
-        elif k == i and l > i + 1:
-            put(r, (i, i + 1), t * q * (q - 1))
-            put(r, (i, l), 1 - q)
-            put(r, (i + 1, l), q)
-        elif l == i + 1 and k < i:
-            put(r, (k, i), integer(1))
-        elif l == i and k < i:
-            put(r, (k, i), 1 - q)
-            put(r, (k, i + 1), q)
-            put(r, (i, i + 1), q * (q - 1))
-        else:  # pragma: no cover - cases above are exhaustive
-            raise AssertionError((k, l, i))
+        for pair, value in image(k, l):
+            rows[r][index[pair]] = rows[r][index[pair]] + value
     return rows
+
+
+def _lkb_sigma_rows(n: int, i: int) -> list[list[LaurentPoly]]:
+    q, t = variable("q"), variable("t")
+
+    def image(k: int, l: int) -> PairTerms:
+        if k != i and k != i + 1 and l != i and l != i + 1:
+            return [((k, l), integer(1))]
+        if k == i + 1:
+            return [((i, l), integer(1))]
+        if k == i and l == i + 1:
+            return [((i, i + 1), t * q ** 2)]
+        if k == i and l > i + 1:
+            return [((i, i + 1), t * q * (q - 1)), ((i, l), 1 - q), ((i + 1, l), q)]
+        if l == i + 1 and k < i:
+            return [((k, i), integer(1))]
+        if l == i and k < i:
+            return [((k, i), 1 - q), ((k, i + 1), q), ((i, i + 1), q * (q - 1))]
+        raise AssertionError((k, l, i))  # pragma: no cover - the cases are exhaustive
+
+    return _pair_rows(n, image)
 
 
 @cache
@@ -196,45 +207,31 @@ def lkb(n: int) -> MatrixRep:
 
 def lkb_ext(n: int, u: Param = None, v: Param = None) -> MatrixRep:
     """Extension of LKB to SM_n: tau_i maps to u * sigma_i-image + v * identity."""
-    base = lkb(n)
-    uv = _resolve_param(u, "u")
-    vv = _resolve_param(v, "v")
-    ident = RingMatrix.identity(base.dim)
-    taus = [m.scalar_mul(uv) + ident.scalar_mul(vv) for m in base.sigma_images]
-    return _extend(base, "lkb-ext", taus)
+    return _extend(lkb(n), "lkb-ext", _resolve_param(u, "u"), 0, _resolve_param(v, "v"))
 
 
 # -- exterior square of Burau -----------------------------------------------------
 
 def _wedge_sigma_rows(n: int, i: int) -> list[list[LaurentPoly]]:
     q = variable("q")
-    basis = pair_basis(n)
-    index = {p: r for r, p in enumerate(basis)}
-    m = len(basis)
-    rows = [[integer(0)] * m for _ in range(m)]
 
-    def put(r, pair, value):
-        rows[r][index[pair]] = rows[r][index[pair]] + value
-
-    for r, (k, l) in enumerate(basis):
+    def image(k: int, l: int) -> PairTerms:
         if k != i and k != i + 1 and l != i and l != i + 1:
-            put(r, (k, l), integer(1))
-        elif k == i and l == i + 1:
+            return [((k, l), integer(1))]
+        if k == i and l == i + 1:
             # Determinant of the local Burau block [[1-q, q], [1, 0]].
-            put(r, (i, i + 1), -q)
-        elif l == i and k < i:
-            put(r, (k, i), 1 - q)
-            put(r, (k, i + 1), q)
-        elif l == i + 1 and k < i:
-            put(r, (k, i), integer(1))
-        elif k == i and l > i + 1:
-            put(r, (i, l), 1 - q)
-            put(r, (i + 1, l), q)
-        elif k == i + 1 and l > i + 1:
-            put(r, (i, l), integer(1))
-        else:  # pragma: no cover
-            raise AssertionError((k, l, i))
-    return rows
+            return [((i, i + 1), -q)]
+        if l == i and k < i:
+            return [((k, i), 1 - q), ((k, i + 1), q)]
+        if l == i + 1 and k < i:
+            return [((k, i), integer(1))]
+        if k == i and l > i + 1:
+            return [((i, l), 1 - q), ((i + 1, l), q)]
+        if k == i + 1 and l > i + 1:
+            return [((i, l), integer(1))]
+        raise AssertionError((k, l, i))  # pragma: no cover - the cases are exhaustive
+
+    return _pair_rows(n, image)
 
 
 @cache
@@ -265,8 +262,10 @@ def rep_apply(rep: MatrixRep, word: BraidWord) -> RingMatrix:
     """Image of a word: the product of generator images in word order."""
     if word.n != rep.n:
         raise ValueError(f"word is on {word.n} strands, representation on {rep.n}")
-    result = RingMatrix.identity(rep.dim, rep.ring)
-    for letter in word.letters:
+    if not word.letters:
+        return RingMatrix.identity(rep.dim, rep.ring)
+    result = rep.letter_image(word.letters[0])
+    for letter in word.letters[1:]:
         result = result * rep.letter_image(letter)
     return result
 
@@ -507,17 +506,8 @@ def singular_extension_by_affine_combination(rep: MatrixRep, a: Param = None,
                                              b: Param = None,
                                              c: Param = None) -> MatrixRep:
     """Extend a matrix representation of B_n to SM_n by tau_i -> a*S_i + b*S_i^-1 + c*I."""
-    av = _resolve_param(a, "a")
-    bv = _resolve_param(b, "b")
-    cv = _resolve_param(c, "c")
-    ident = RingMatrix.identity(rep.dim, rep.ring)
-    taus = [
-        rep.sigma_images[i].scalar_mul(av)
-        + rep.sigma_inv_images[i].scalar_mul(bv)
-        + ident.scalar_mul(cv)
-        for i in range(rep.n - 1)
-    ]
-    return _extend(rep, rep.name + "+affine", taus)
+    return _extend(rep, rep.name + "+affine", _resolve_param(a, "a"),
+                   _resolve_param(b, "b"), _resolve_param(c, "c"))
 
 
 # -- extension uniqueness at rational points -------------------------------------------

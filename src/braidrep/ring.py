@@ -737,7 +737,9 @@ def _normalize_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly
     dmono = den.monomial_gcd()
     den = den.unshift(dmono)
     num = num.unshift(dmono)
-    if not den.is_one():
+    # A constant denominator shares only an integer with the numerator, and
+    # the content step below divides that out.
+    if not den.is_constant():
         nmono = num.monomial_gcd()
         core = num.unshift(nmono)
         g = poly_gcd(core, den)

@@ -245,6 +245,25 @@ def test_solve_ext_point_names(capsys, point, message):
     assert err.startswith("error:") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["1/0", "x", "sym", ""])
+def test_solve_ext_bad_point_value(capsys, value):
+    code, out, err = run(capsys, "solve-ext", "--n", "3", "--point", f"q={value},t=2")
+    assert (code, out, err) == (2, "", f"error: bad --point value {value!r}\n")
+
+
+@pytest.mark.parametrize("rep,params,rows", [
+    ("lkb-ext", ("u=0", "v=0"), [["0"] * 3] * 3),
+    ("burau-ext", ("a=1",), [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+])
+def test_zero_coefficients_keep_the_laurent_ring(capsys, rep, params, rows):
+    argv = ["rep", "--rep", rep, "--n", "3", "--word", "t1"]
+    for p in params:
+        argv += ["--param", p]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out) == {"dim": 3, "ring": "laurent", "rows": rows}
+
+
 def test_charpoly_of_a_long_word_keeps_its_exponents(capsys):
     code, out, err = run(capsys, "charpoly", "--n", "2", "--word", " ".join(["1"] * 9000))
     assert code == 0 and err == ""

@@ -3,13 +3,7 @@ import random
 import pytest
 
 from braidrep.braid import BraidWord
-from braidrep.defects import (
-    additive_defect,
-    additive_defect_between,
-    defect,
-    multiplicative_defect,
-    multiplicative_defect_between,
-)
+from braidrep.defects import additive_defect, defect, defect_between, multiplicative_defect
 from braidrep.matrix import RingMatrix
 from braidrep.reps import burau, exterior_square_burau, lkb, pair_basis, rep_apply
 from braidrep.ring import RatFunc, variable
@@ -182,9 +176,9 @@ def test_generic_pair_defects():
     word = B(2, "1")
     phi = burau(2)
     psi = burau(2, "q")
-    add = additive_defect_between(phi, psi, word)
+    add = defect_between(phi, psi, word).additive
     assert add == RingMatrix([[q - t, t - q], [0, 0]])
-    mul = multiplicative_defect_between(phi, phi, word)
+    mul = defect_between(phi, phi, word).multiplicative
     assert mul == RingMatrix.identity(2, "ratfunc")
 
 
@@ -200,3 +194,34 @@ def test_defect_result_bundle():
     assert result.additive == D1_N3
     assert result.multiplicative == K1_N3
     assert result.word == B(3, "1")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_defect_between_matches_the_inverse_formula(n):
+    # psi(w)^-1 from the stored inverse images equals the inverted matrix.
+    rng = random.Random(7000 + n)
+    pairs = [(lkb(n), exterior_square_burau(n)), (burau(n), burau(n, "q"))]
+    for phi, psi in pairs:
+        for _ in range(3):
+            word = rand_classical_word(rng, n, rng.randint(2, 5))
+            if all(s == 1 for _, s in word.letters):
+                (i, _), *rest = word.letters
+                word = BraidWord(n, ((i, -1), *rest))
+            result = defect_between(phi, psi, word)
+            phi_w, psi_w = rep_apply(phi, word), rep_apply(psi, word)
+            expected = psi_w.inverse() * phi_w.to_ratfunc()
+            assert result.multiplicative.to_json_dict() == expected.to_json_dict()
+            assert result.additive.to_json_dict() == (phi_w - psi_w).to_json_dict()
+            assert result.word == word
+
+
+def test_defect_between_rejects_singular_words():
+    with pytest.raises(ValueError):
+        defect_between(burau(3), burau(3, "q"), B(3, "1 t2"))
+
+
+def test_defect_rejects_a_singular_word_before_building():
+    lkb.cache_clear()
+    with pytest.raises(ValueError, match="classical"):
+        defect(6, B(6, "1 t2"))
+    assert lkb.cache_info().currsize == 0

@@ -196,6 +196,44 @@ def test_lkb_ext_rational_parameters():
     assert lkb_ext(3, Fraction(1, 2)).sigma_inv_images == lkb(3).sigma_inv_images
 
 
+# Zero and unit parameters: the taus equal the affine formula coefficient for
+# coefficient, with the same ring and the same text, including all-zero
+# parameters, which give the zero matrix over the Laurent ring.
+ZERO_PARAMETER_CASES = [
+    # (extension, base, coefficient of S_i, coefficient of I)
+    (lambda n: burau_ext(n, 0), burau, 1, 0),
+    (lambda n: burau_ext(n, Fraction(0)), burau, 1, 0),
+    (lambda n: burau_ext(n, 1), burau, 0, 1),
+    (lambda n: lkb_ext(n, 0, 0), lkb, 0, 0),
+    (lambda n: lkb_ext(n, Fraction(0), Fraction(0)), lkb, 0, 0),
+    (lambda n: lkb_ext(n, 0, Fraction(1, 2)), lkb, 0, Fraction(1, 2)),
+    (lambda n: lkb_ext(n, Fraction(1, 2), 0), lkb, Fraction(1, 2), 0),
+]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("case", range(len(ZERO_PARAMETER_CASES)))
+def test_zero_parameters_match_the_affine_formula(n, case):
+    build, base_of, x, y = ZERO_PARAMETER_CASES[case]
+    rep, base = build(n), base_of(n)
+    ident = RingMatrix.identity(base.dim)
+    expected = [m.scalar_mul(x) + ident.scalar_mul(y) for m in base.sigma_images]
+    assert rep.ring == expected[0].ring
+    assert [m.to_json_dict() for m in rep.tau_images] == [m.to_json_dict() for m in expected]
+    assert all(m.ring == rep.ring for m in rep.sigma_images + rep.sigma_inv_images)
+
+
+def test_affine_extension_with_zero_coefficients():
+    base = burau(3)
+    zero = singular_extension_by_affine_combination(base, 0, 0, 0)
+    assert zero.ring == "laurent"
+    assert all(m == RingMatrix.zero(3) and m.ring == "laurent" for m in zero.tau_images)
+    inverse_only = singular_extension_by_affine_combination(base, 0, Fraction(2, 3), 0)
+    assert inverse_only.ring == "ratfunc"
+    for i in (1, 2):
+        assert inverse_only.tau_image(i) == base.sigma_inv_image(i).scalar_mul(Fraction(2, 3))
+
+
 @pytest.fixture
 def inverse_calls(monkeypatch):
     """The matrices passed to RingMatrix.inverse while the test runs."""
@@ -258,6 +296,14 @@ def test_rep_apply_homomorphism_with_singular_letters():
 def test_rep_apply_long_relation_with_tau():
     rep = lkb_ext(3)
     assert rep_apply(rep, B(3, "1 2 t1")) == rep_apply(rep, B(3, "t2 1 2"))
+
+
+def test_rep_apply_short_words():
+    rep = lkb_ext(3)
+    assert rep_apply(rep, B(3, "")) == RingMatrix.identity(3)
+    assert rep_apply(rep, B(3, "")).ring == "laurent"
+    for text, letter in (("1", (1, 1)), ("-2", (2, -1)), ("t2", (2, 0))):
+        assert rep_apply(rep, B(3, text)) == rep.letter_image(letter)
 
 
 def test_rep_apply_errors():

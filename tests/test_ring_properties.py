@@ -1,6 +1,7 @@
 """Property tests for the Laurent ring (hypothesis): axioms, a sympy oracle,
 the text round trip, the term order, gcd divisibility and hashing."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidrep.ring import (
+    ONE,
     ZERO,
     RatFunc,
     canonical_string,
@@ -39,6 +41,17 @@ def polys(max_terms=4, max_exp=3):
     return terms.map(lambda ts: sum((c * monomial(e) for c, e in ts), ZERO))
 
 
+def to_sympy(p):
+    import sympy
+
+    syms = sympy.symbols(NAMES)
+    return sum(
+        (c * sympy.Mul(*[s ** e for s, e in zip(syms, exps)])
+         for exps, c in p.exponent_terms().items()),
+        sympy.Integer(0),
+    )
+
+
 def graded_lex(exps):
     """The canonical order as an explicit tuple key: total degree, then q, t, ..."""
     full = exps + (0,) * (len(NAMES) - len(exps))
@@ -60,15 +73,6 @@ def test_ring_axioms(x, y, z):
 @given(polys(), polys())
 def test_products_agree_with_sympy(x, y):
     sympy = pytest.importorskip("sympy")
-    syms = sympy.symbols(NAMES)
-
-    def to_sympy(p):
-        return sum(
-            (c * sympy.Mul(*[s ** e for s, e in zip(syms, exps)])
-             for exps, c in p.exponent_terms().items()),
-            sympy.Integer(0),
-        )
-
     assert sympy.expand(to_sympy(x) * to_sympy(y) - to_sympy(x * y)) == 0
 
 
@@ -119,3 +123,23 @@ def test_equal_values_hash_alike(x, y, f):
     for a, b in pairs:
         assert a == b and b == a
         assert hash(a) == hash(b)
+
+
+@SETTINGS
+@given(polys(max_terms=5), st.integers(-60, 60).filter(bool), exponents(2))
+def test_constant_denominator_normal_form(num, d, shift):
+    """num / (d * x^shift) reduces to a numerator and a positive integer
+    denominator with coprime contents, as by the reference below and sympy."""
+    sympy = pytest.importorskip("sympy")
+    r = RatFunc(num, d * monomial(shift))
+    # Reference: fold the monomial into the numerator, divide both by the
+    # gcd of the contents, and make the denominator positive.
+    folded = num * monomial(tuple(-e for e in shift))
+    terms = folded.exponent_terms()
+    g = math.gcd(d, *terms.values())
+    sign = -1 if d < 0 else 1
+    expected_num = sum((sign * c // g * monomial(e) for e, c in terms.items()), ZERO)
+    expected_den = integer(abs(d) // g) if terms else ONE
+    assert (r.num, r.den) == (expected_num, expected_den)
+    given_value = to_sympy(num) / (d * to_sympy(monomial(shift)))
+    assert sympy.cancel(given_value - to_sympy(r.num) / to_sympy(r.den)) == 0
