@@ -8,7 +8,6 @@ appear only through matrix inversion and rational parameter values.
 from .braid import (
     BraidWord,
     Relation,
-    RelationSet,
     artin_generator,
     artin_of_braid,
     auto_apply,

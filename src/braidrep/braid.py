@@ -9,13 +9,21 @@ count is always explicit, never inferred from the letters.
 The module also provides the defining relation sets of B_n and SM_n, the
 action on the free group by Artin automorphisms, and the Markov moves
 (conjugation, stabilization, destabilization) used for link invariants.
+
+word_image is the one fold from a word to a product: every image of a word
+(a matrix representation, the group algebra, the Temperley-Lieb algebra and
+the Artin action) is the product of its letters' images in word order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache, reduce
+from operator import mul
+from typing import Callable, TypeVar
 
 Letter = tuple[int, int]
+T = TypeVar("T")
 
 
 def sigma(i: int, sign: int = 1) -> Letter:
@@ -95,6 +103,12 @@ class BraidWord:
         return self.text() or "e"
 
 
+def word_image(word: BraidWord, letter_image: Callable[[Letter], T],
+               unit: Callable[[], T]) -> T:
+    """Product of the letters' images in word order; unit() only for the empty word."""
+    return reduce(mul, map(letter_image, word.letters)) if word.letters else unit()
+
+
 def free_reduce(word: BraidWord) -> BraidWord:
     """Cancel adjacent sigma_i^{+1} sigma_i^{-1} pairs; no braid-relation rewriting."""
     if not word.is_classical:
@@ -146,20 +160,7 @@ class Relation:
     rhs: BraidWord
 
 
-@dataclass(frozen=True)
-class RelationSet:
-    n: int
-    monoid: str
-    relations: tuple[Relation, ...]
-
-    def __iter__(self):
-        return iter(self.relations)
-
-    def __len__(self):
-        return len(self.relations)
-
-
-def relation_set(n: int, monoid: str) -> RelationSet:
+def relation_set(n: int, monoid: str) -> tuple[Relation, ...]:
     """All defining relation instances of B_n ("Bn") or SM_n ("SMn")."""
     if n < 2:
         raise ValueError("strand count must be at least 2")
@@ -225,7 +226,7 @@ def relation_set(n: int, monoid: str) -> RelationSet:
                     W(tau(i), sigma(i + 1), sigma(i)),
                 )
             )
-    return RelationSet(n, monoid, tuple(rels))
+    return tuple(rels)
 
 
 # -- Artin action on the free group ---------------------------------------------
@@ -303,10 +304,12 @@ def auto_compose(first: FreeAuto, second: FreeAuto) -> FreeAuto:
     return FreeAuto(first.n, tuple(auto_apply(second, img) for img in first.images))
 
 
+FreeAuto.__mul__ = auto_compose
+
+
 def artin_of_braid(word: BraidWord) -> FreeAuto:
     if not word.is_classical:
         raise ValueError("the Artin action is defined for classical words only")
-    auto = FreeAuto.identity(word.n)
-    for i, s in word.letters:
-        auto = auto_compose(auto, artin_generator(word.n, i, s))
-    return auto
+    n = word.n
+    letter_image = cache(lambda letter: artin_generator(n, *letter))
+    return word_image(word, letter_image, lambda: FreeAuto.identity(n))

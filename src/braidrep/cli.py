@@ -261,9 +261,18 @@ def cmd_nf(args) -> int:
     return 0
 
 
+def _emit_elem(args, elem) -> int:
+    """An algebra element of a word: its terms by basis key, or its text."""
+    terms = {str(k): str(c) for k, c in sorted(elem.terms.items())}
+    _emit({"n": args.n, "word": args.word, "terms": terms}, args.out, lambda: str(elem))
+    return 0
+
+
 def cmd_tl(args) -> int:
     params = _parse_params(args.param, "tl")
     if args.verify:
+        if args.word:
+            raise UsageError("--verify checks the relations and takes no --word")
         report = verify_tl_relations(args.n, params.get("a"), params.get("b"))
         data = {
             "subject": report.subject,
@@ -273,27 +282,13 @@ def cmd_tl(args) -> int:
         _emit(data, args.out, report.summary)
         return 0 if report.all_ok else 1
     word = BraidWord.parse(args.n, args.word)
-    elem = tl_rho(args.n, word, params.get("a"), params.get("b"))
-    data = {
-        "n": args.n,
-        "word": args.word,
-        "terms": {str(d): str(c) for d, c in sorted(elem.terms.items())},
-    }
-    _emit(data, args.out, lambda: str(elem))
-    return 0
+    return _emit_elem(args, tl_rho(args.n, word, params.get("a"), params.get("b")))
 
 
 def cmd_birman(args) -> int:
     params = _parse_params(args.param, "birman")
     word = BraidWord.parse(args.n, args.word)
-    elem = birman_image(word, params.get("a"), params.get("b"), params.get("c"))
-    data = {
-        "n": args.n,
-        "word": args.word,
-        "terms": {str(k): str(c) for k, c in sorted(elem.terms.items())},
-    }
-    _emit(data, args.out, lambda: str(elem))
-    return 0
+    return _emit_elem(args, birman_image(word, params.get("a"), params.get("b"), params.get("c")))
 
 
 @cache

@@ -29,7 +29,7 @@ frame, and the parity is applied once, to the finished form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 from .braid import BraidWord
 
@@ -40,7 +40,7 @@ def perm_identity(n: int) -> Perm:
     return tuple(range(n))
 
 
-@lru_cache(maxsize=None)
+@cache
 def perm_delta(n: int) -> Perm:
     return tuple(range(n - 1, -1, -1))
 

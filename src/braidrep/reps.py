@@ -22,6 +22,9 @@ Conventions used throughout:
 * Elements of an algebra, such as the group algebra of B_n here and the
   Temperley-Lieb algebra in tl, are LinComb instances: sparse linear
   combinations of basis keys, one subclass per algebra.
+* A word's image, as a matrix or in an algebra, is braid.word_image over its
+  letters' images.  An algebra builds each letter's image once per call, on
+  first use, so a verifier builds each one once for all its relations.
 
 The exterior square of the Burau representation is built both from a direct
 six-case formula and functorially (2x2 minors of the Burau matrix); the two
@@ -37,7 +40,7 @@ from functools import cache
 from math import gcd, lcm
 from typing import Callable, Mapping
 
-from .braid import BraidWord, relation_set, sigma
+from .braid import BraidWord, Letter, relation_set, sigma, word_image
 from .garside import NormalForm, nf_inverse, nf_mul, to_normal_form
 from .matrix import RING_LAURENT, RING_RATFUNC, RingMatrix, coerce_entry, sparse_mul, sparse_rows
 from .ring import LaurentPoly, RatFunc, integer, parse_poly, variable
@@ -262,12 +265,7 @@ def rep_apply(rep: MatrixRep, word: BraidWord) -> RingMatrix:
     """Image of a word: the product of generator images in word order."""
     if word.n != rep.n:
         raise ValueError(f"word is on {word.n} strands, representation on {rep.n}")
-    if not word.letters:
-        return RingMatrix.identity(rep.dim, rep.ring)
-    result = rep.letter_image(word.letters[0])
-    for letter in word.letters[1:]:
-        result = result * rep.letter_image(letter)
-    return result
+    return word_image(word, rep.letter_image, lambda: RingMatrix.identity(rep.dim, rep.ring))
 
 
 @dataclass(frozen=True)
@@ -462,9 +460,22 @@ class GroupAlgebraElem(LinComb):
     def unit(cls, n: int) -> GroupAlgebraElem:
         return cls(n, {NormalForm.identity(n): 1})
 
-    @classmethod
-    def from_braid(cls, nf: NormalForm, coeff=1) -> GroupAlgebraElem:
-        return cls(nf.n, {nf: coeff})
+
+def _birman_fold(n: int, a: Param, b: Param,
+                 c: Param) -> Callable[[BraidWord], GroupAlgebraElem]:
+    """The group-algebra image of words on n strands; a letter's image is built on first use."""
+    # Letter sign -> coefficients of sigma_i, sigma_i^-1 and e.
+    coeffs = {1: (1, 0, 0), -1: (0, 1, 0),
+              0: (_resolve_param(a, "a"), _resolve_param(b, "b"), _resolve_param(c, "c"))}
+
+    @cache
+    def letter_image(letter: Letter) -> GroupAlgebraElem:
+        i, s = letter
+        gen = to_normal_form(BraidWord(n, (sigma(i),)))
+        keys = (gen, nf_inverse(gen), NormalForm.identity(n))
+        return GroupAlgebraElem(n, dict(zip(keys, coeffs[s])))
+
+    return lambda word: word_image(word, letter_image, lambda: GroupAlgebraElem.unit(n))
 
 
 def birman_image(word: BraidWord, a: Param = None, b: Param = None,
@@ -475,31 +486,13 @@ def birman_image(word: BraidWord, a: Param = None, b: Param = None,
     a * sigma_i + b * sigma_i^-1 + c * e.  The classical Birman map is the
     case (a, b, c) = (1, -1, 0).
     """
-    av = _resolve_param(a, "a")
-    bv = _resolve_param(b, "b")
-    cv = _resolve_param(c, "c")
-    n = word.n
-    result = GroupAlgebraElem.unit(n)
-    for i, s in word.letters:
-        gen = to_normal_form(BraidWord(n, (sigma(i),)))
-        if s == 1:
-            factor = GroupAlgebraElem.from_braid(gen)
-        elif s == -1:
-            factor = GroupAlgebraElem.from_braid(nf_inverse(gen))
-        else:
-            factor = (
-                GroupAlgebraElem.from_braid(gen, av)
-                + GroupAlgebraElem.from_braid(nf_inverse(gen), bv)
-                + GroupAlgebraElem.from_braid(NormalForm.identity(n), cv)
-            )
-        result = result * factor
-    return result
+    return _birman_fold(word.n, a, b, c)(word)
 
 
 def verify_group_algebra_relations(n: int, a: Param = None, b: Param = None,
                                    c: Param = None) -> RelationReport:
     """Push every SM_n relation through the group-algebra representation."""
-    return _verify("birman", n, "SMn", lambda word: birman_image(word, a, b, c))
+    return _verify("birman", n, "SMn", _birman_fold(n, a, b, c))
 
 
 def singular_extension_by_affine_combination(rep: MatrixRep, a: Param = None,

@@ -15,9 +15,11 @@ loop produced in the middle contributes the scalar -t^2 - t^-2.  The map
     sigma_i^-1->  t u_i + t^-1 e
     tau_i     ->  a u_i + b e
 
-sends singular braid words to elements of the algebra.  An element is a
-TLElem, the reps.LinComb whose keys are diagrams and whose coefficients are
-Laurent polynomials.
+sends singular braid words to elements of the algebra, each letter's image
+built once per call.  An element is a TLElem, the reps.LinComb whose keys are
+diagrams and whose coefficients are Laurent polynomials.  A diagram given to
+TLDiagram is checked for planarity; a product of diagrams is planar by
+construction and is not re-checked.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator
+from functools import cache
+from typing import Callable, Iterator
 
-from .braid import BraidWord
+from .braid import BraidWord, Letter, word_image
 from .matrix import RingMatrix
 from .reps import LinComb, Param, RelationReport, _resolve_param, _verify
 from .ring import LaurentPoly, integer, variable
@@ -72,6 +74,13 @@ class TLDiagram:
             raise ValueError("matching is not a planar perfect matching")
 
     @classmethod
+    def _planar(cls, n: int, match: tuple[int, ...]) -> TLDiagram:
+        """A diagram planar by construction, such as a product, built without the check."""
+        diagram = object.__new__(cls)
+        diagram.__dict__.update(n=n, match=match)
+        return diagram
+
+    @classmethod
     def identity(cls, n: int) -> TLDiagram:
         return cls(n, tuple(list(range(n, 2 * n)) + list(range(n))))
 
@@ -102,7 +111,7 @@ class TLDiagram:
         return self.text()
 
 
-@lru_cache(maxsize=None)
+@cache
 def tl_basis(n: int) -> tuple[TLDiagram, ...]:
     """All diagrams on n strands; there are Catalan(n) of them."""
     order = _boundary_order(n)
@@ -170,7 +179,7 @@ def compose_diagrams(top: TLDiagram, bottom: TLDiagram) -> tuple[TLDiagram, int]
             j = m2[up - n]          # then the arc in the bottom diagram
             if visited_mid[j] and j == i:
                 break
-    return TLDiagram(n, tuple(result)), loops
+    return TLDiagram._planar(n, tuple(result)), loops
 
 
 def _coeff(value) -> LaurentPoly:
@@ -203,39 +212,36 @@ class TLElem(LinComb):
         return cls(n, {TLDiagram.cup_cap(n, i): 1})
 
 
-def tl_unit(n: int) -> TLElem:
-    return TLElem.unit(n)
+tl_unit = TLElem.unit
+tl_generator = TLElem.generator
 
 
-def tl_generator(n: int, i: int) -> TLElem:
-    return TLElem.generator(n, i)
+def _tl_fold(n: int, a: Param, b: Param) -> Callable[[BraidWord], TLElem]:
+    """The image of words on n strands; a letter's image is built on first use."""
+    t, tinv = variable("t"), variable("t", -1)
+    # Letter sign -> coefficients of u_i and e.
+    coeffs = {1: (tinv, t), -1: (t, tinv),
+              0: (_coeff(_resolve_param(a, "a")), _coeff(_resolve_param(b, "b")))}
+
+    @cache
+    def letter_image(letter: Letter) -> TLElem:
+        i, s = letter
+        u, e = coeffs[s]
+        return TLElem.generator(n, i).scalar_mul(u) + TLElem.unit(n).scalar_mul(e)
+
+    return lambda word: word_image(word, letter_image, lambda: TLElem.unit(n))
 
 
 def tl_rho(n: int, word: BraidWord, a: Param = None, b: Param = None) -> TLElem:
     """Image of a singular braid word under the map into the algebra."""
     if word.n != n:
         raise ValueError("strand count mismatch")
-    av = _coeff(_resolve_param(a, "a"))
-    bv = _coeff(_resolve_param(b, "b"))
-    t = variable("t")
-    tinv = variable("t", -1)
-    result = TLElem.unit(n)
-    for i, s in word.letters:
-        u = TLElem.generator(n, i)
-        e = TLElem.unit(n)
-        if s == 1:
-            factor = u.scalar_mul(tinv) + e.scalar_mul(t)
-        elif s == -1:
-            factor = u.scalar_mul(t) + e.scalar_mul(tinv)
-        else:
-            factor = u.scalar_mul(av) + e.scalar_mul(bv)
-        result = result * factor
-    return result
+    return _tl_fold(n, a, b)(word)
 
 
 def verify_tl_relations(n: int, a: Param = None, b: Param = None) -> RelationReport:
     """Push every SM_n defining relation through the algebra map."""
-    return _verify("tl-rho", n, "SMn", lambda word: tl_rho(n, word, a, b))
+    return _verify("tl-rho", n, "SMn", _tl_fold(n, a, b))
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,22 @@
 """Property tests for the two algebra targets (hypothesis): the group algebra
 of B_n and the Temperley-Lieb algebra satisfy the algebra axioms on random
 elements at n = 3, 4, with symbolic and with integer coefficients.  Elements
-of the two algebras do not mix."""
+of the two algebras do not mix.  Every image of a word, in either algebra, as
+an LKB extension matrix or as an Artin automorphism, is the product of its
+letters' images in word order."""
 
 import operator
+from functools import cache
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from braidrep.braid import BraidWord
-from braidrep.reps import GroupAlgebraElem, birman_image
+from braidrep.braid import BraidWord, FreeAuto, artin_of_braid
+from braidrep.matrix import RingMatrix
+from braidrep.reps import GroupAlgebraElem, birman_image, lkb_ext, rep_apply
 from braidrep.ring import integer, variable
 from braidrep.tl import TLElem, tl_basis, tl_rho
 
@@ -98,3 +102,43 @@ def test_elements_of_different_algebras_do_not_mix():
         with pytest.raises(TypeError):
             op(tl, ga)
     assert ga != tl
+
+
+lkb_ext_rep = cache(lkb_ext)
+
+IMAGES = {
+    "birman": (lambda n, w: birman_image(w), GroupAlgebraElem.unit),
+    "tl": (lambda n, w: tl_rho(n, w), TLElem.unit),
+    "lkb-ext": (lambda n, w: rep_apply(lkb_ext_rep(n), w),
+                lambda n: RingMatrix.identity(lkb_ext_rep(n).dim, lkb_ext_rep(n).ring)),
+}
+
+
+@st.composite
+def image_cases(draw):
+    n = draw(st.sampled_from((3, 4)))
+    return draw(st.sampled_from(sorted(IMAGES))), n, draw(singular_words(n, 4))
+
+
+@SETTINGS
+@given(image_cases())
+@example(("birman", 3, BraidWord(3)))
+@example(("tl", 4, BraidWord(4)))
+@example(("lkb-ext", 3, BraidWord(3)))
+@example(("lkb-ext", 4, BraidWord.parse(4, "1 -3 2")))
+@example(("birman", 4, BraidWord.parse(4, "t1 -2 t3")))
+def test_word_image_is_the_product_of_letter_images(case):
+    name, n, word = case
+    image, unit = IMAGES[name]
+    expected = unit(n)
+    for k, letter in enumerate(word.letters):
+        factor = image(n, BraidWord(n, (letter,)))
+        expected = factor if k == 0 else expected * factor
+    assert image(n, word) == expected
+
+
+@SETTINGS
+@given(st.sampled_from((3, 4)).flatmap(lambda n: singular_words(n, 6)))
+def test_artin_image_of_a_word_times_its_inverse_is_the_identity(word):
+    classical = BraidWord(word.n, tuple(letter for letter in word.letters if letter[1]))
+    assert artin_of_braid(classical * classical.inverse()) == FreeAuto.identity(word.n)

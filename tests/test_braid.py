@@ -14,6 +14,7 @@ from braidrep.braid import (
     sigma,
     stabilize,
     tau,
+    word_image,
 )
 
 
@@ -122,3 +123,41 @@ def test_free_reduce():
     assert free_reduce(BraidWord.parse(3, "1 2 -2 1")).text() == "1 1"
     with pytest.raises(ValueError):
         free_reduce(BraidWord.parse(3, "t1"))
+
+
+class Concat:
+    """A product that records its factors in order."""
+
+    def __init__(self, factors):
+        self.factors = factors
+
+    def __mul__(self, other):
+        return Concat(self.factors + other.factors)
+
+
+def test_word_image_folds_left_to_right_and_builds_the_unit_only_for_the_empty_word():
+    units = []
+    word = BraidWord.parse(4, "1 t2 -3 1")
+    image = word_image(word, lambda letter: Concat((letter,)), lambda: units.append(1))
+    assert image.factors == word.letters and units == []
+    assert word_image(BraidWord(4), lambda letter: Concat((letter,)),
+                      lambda: units.append(1) or "unit") == "unit"
+    assert units == [1]
+
+
+def test_artin_of_braid_builds_only_the_letters_it_uses(monkeypatch):
+    from braidrep import braid
+    calls = []
+    build = braid.artin_generator
+    monkeypatch.setattr(braid, "artin_generator",
+                        lambda n, i, s: calls.append((i, s)) or build(n, i, s))
+    word = BraidWord.parse(1000, "1 -2 1 1 -2")
+    assert artin_of_braid(word) == auto_compose(
+        auto_compose(build(1000, 1), build(1000, 2, -1)),
+        auto_compose(auto_compose(build(1000, 1), build(1000, 1)), build(1000, 2, -1)))
+    assert sorted(calls) == [(1, 1), (2, -1)]
+
+
+def test_free_automorphisms_multiply_by_composition():
+    a1, a2 = artin_generator(3, 1), artin_generator(3, 2, -1)
+    assert a1 * a2 == auto_compose(a1, a2)

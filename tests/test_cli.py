@@ -303,3 +303,18 @@ def test_markov_max_strands_bounded(capsys):
 def test_nf_strand_count_unbounded(capsys):
     code, out, _ = run(capsys, "nf", "--n", "100000", "--word", "1 99999")
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("word", ["zz", "1", "t1 2"])
+def test_tl_verify_rejects_a_word(capsys, word):
+    code, out, err = run(capsys, "tl", "--n", "3", "--verify", "--word", word)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--word" in err and err.count("\n") == 1
+
+
+def test_tl_and_birman_images_share_one_json_layout(capsys):
+    for argv in (("tl", "--n", "3", "--word", "1 t2"), ("birman", "--n", "3", "--word", "1 t2")):
+        code, out, _ = run(capsys, *argv, "--out", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert sorted(data) == ["n", "terms", "word"] and data["word"] == "1 t2"

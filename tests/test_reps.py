@@ -437,8 +437,8 @@ def test_birman_image_two_term_product():
 
 
 def test_group_algebra_product_distinct_keys():
-    one = GroupAlgebraElem.from_braid(to_normal_form(B(3, "1")))
-    two = GroupAlgebraElem.from_braid(to_normal_form(B(3, "2")))
+    one = GroupAlgebraElem(3, {to_normal_form(B(3, "1")): 1})
+    two = GroupAlgebraElem(3, {to_normal_form(B(3, "2")): 1})
     product = (one + two) * (one - two)
     # sigma1 sigma2 and sigma2 sigma1 are distinct normal forms, so 4 terms.
     assert len(product) == 4
@@ -718,3 +718,32 @@ def test_degenerate_points_rejected():
         solve_extension_space(3, {"q": 2})
     with pytest.raises(ValueError, match="unknown coordinate x"):
         solve_extension_space(3, {"q": 2, "t": 3, "x": 5})
+
+
+@pytest.fixture
+def generator_nfs(monkeypatch):
+    """The generator index of every normal form the group-algebra map builds."""
+    from braidrep import reps
+    calls = []
+    build = reps.to_normal_form
+
+    def counting(word):
+        calls.append(word.letters[0][0])
+        return build(word)
+
+    monkeypatch.setattr(reps, "to_normal_form", counting)
+    return calls
+
+
+def test_birman_image_builds_only_the_letters_it_uses(generator_nfs):
+    birman_image(B(1000, "1 -2 t3"))
+    assert sorted(generator_nfs) == [1, 2, 3]
+    generator_nfs.clear()
+    birman_image(B(4, "1 1 t2 -1 t2 1"))
+    assert sorted(generator_nfs) == [1, 1, 2]
+
+
+def test_group_algebra_verifier_builds_each_letter_image_once(generator_nfs):
+    assert verify_group_algebra_relations(4).all_ok
+    assert sorted(generator_nfs) == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+

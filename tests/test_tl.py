@@ -120,3 +120,51 @@ def test_invertibility_checker():
 def test_elem_string_is_deterministic():
     elem = tl_rho(3, B(3, "1 t2"))
     assert str(elem) == str(tl_rho(3, B(3, "1 t2")))
+
+
+@pytest.mark.parametrize("match", [
+    (3, 2, 1, 0),        # crossing strands
+    (1, 0),              # too few points
+    (0, 1, 2, 3),        # a point matched to itself
+    (1, 0, 3, 4),        # a partner out of range
+    (1, 2, 3, 0),        # not an involution
+])
+def test_public_diagram_rejects_non_planar_or_malformed_matchings(match):
+    with pytest.raises(ValueError):
+        TLDiagram(2, match)
+
+
+def test_products_of_diagrams_are_planar():
+    basis = tl_basis(4)
+    for top in basis:
+        for bottom in basis:
+            diagram, _ = compose_diagrams(top, bottom)
+            assert is_planar(4, diagram.match)
+            assert diagram == TLDiagram(4, diagram.match) and diagram in basis
+
+
+@pytest.fixture
+def generator_builds(monkeypatch):
+    """The index of every generator u_i the algebra map builds."""
+    calls = []
+    build = TLElem.generator
+
+    def counting(cls, n, i):
+        calls.append(i)
+        return build(n, i)
+
+    monkeypatch.setattr(TLElem, "generator", classmethod(counting))
+    return calls
+
+
+def test_tl_rho_builds_only_the_letters_it_uses(generator_builds):
+    tl_rho(1000, B(1000, "1 -2 t3"))
+    assert sorted(generator_builds) == [1, 2, 3]
+    generator_builds.clear()
+    tl_rho(4, B(4, "1 1 t2 -1 t2 1"))
+    assert sorted(generator_builds) == [1, 1, 2]
+
+
+def test_tl_verifier_builds_each_letter_image_once(generator_builds):
+    assert verify_tl_relations(4).all_ok
+    assert sorted(generator_builds) == [1, 1, 1, 2, 2, 2, 3, 3, 3]
