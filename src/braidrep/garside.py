@@ -16,14 +16,18 @@ Every form is built by right multiplication by one simple factor g at a time
 append g and left-weight the pairs (f_k, f_{k+1}) from right to left, stopping
 at the first pair that already is, since no factor to its left has changed.
 Then only the last factor can be trivial (it is dropped) and only the first
-can be Delta (folded into inf), since x <= xg <= x Delta.  A word costs one
-such pass per letter.
+can be Delta (folded into inf), since x <= xg <= x Delta.  A word enters one
+maximal simple run at a time: consecutive letters of one sign whose product
+is still a permutation braid make one g, so a word costs one such pass per
+run, not per letter.
 
-A letter sigma_i^-1 is Delta^-1 * (Delta sigma_i^-1).  Moving that Delta^-1
-to the front would flip every earlier factor by x -> Delta x Delta^-1; a
-parity records the flip instead, and new factors are stored in the flipped
-frame.  The flip is an automorphism, so left-weightedness holds in either
-frame, and the parity is applied once, to the finished form.
+A negative run sigma_{i_1}^-1 ... sigma_{i_r}^-1 is P^-1 for the simple
+P = sigma_{i_r} ... sigma_{i_1}, and P^-1 = Delta^-1 * (Delta P^-1) with
+Delta P^-1 simple (a single letter gives Delta^-1 * (Delta sigma_i^-1)).
+Moving that Delta^-1 to the front would flip every earlier factor by
+x -> Delta x Delta^-1; a parity records the flip instead, and new factors are
+stored in the flipped frame.  The flip is an automorphism, so left-weightedness
+holds in either frame, and the parity is applied once, to the finished form.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .braid import BraidWord
+from .braid import BraidWord, Letter
 
 Perm = tuple[int, ...]
 
@@ -150,17 +154,42 @@ class NormalForm:
         return " | ".join(parts)
 
 
+def _simple_runs(n: int, letters: tuple[Letter, ...]) -> list[tuple[int, Perm]]:
+    """The letters as (k, g) steps for _right_multiply, one per maximal run of
+    same-sign letters whose product is simple.
+
+    q is the permutation of the run read backwards, sigma_{i_r} ... sigma_{i_1}:
+    each letter swaps positions i - 1, i of q.  For a positive run q is P^-1,
+    P = sigma_{i_1} ... sigma_{i_r}, and P sigma_i stays simple while the
+    strands at positions i - 1, i of P have not crossed: q[i-1] < q[i].  For a
+    negative run q is P itself, and sigma_i P stays simple while sigma_i does
+    not start P: again q[i-1] < q[i].  The run then enters as Delta P^-1.
+    """
+    steps = []
+    q, sign = None, 0
+    for i, s in letters:
+        if s != sign or q[i - 1] > q[i]:
+            if q:
+                steps.append(_run_step(q, sign))
+            q, sign = list(range(n)), s
+        q[i - 1], q[i] = q[i], q[i - 1]
+    if q:
+        steps.append(_run_step(q, sign))
+    return steps
+
+
+def _run_step(q: list[int], sign: int) -> tuple[int, Perm]:
+    """(0, P) for a positive run, where P = q^-1; (-1, Delta P^-1) for a
+    negative one, where P^-1 = q^-1 and Delta P^-1 is its reverse."""
+    g = perm_inverse(q)
+    return (0, g) if sign > 0 else (-1, g[::-1])
+
+
 def to_normal_form(word: BraidWord) -> NormalForm:
     """Left-greedy normal form of a classical braid word."""
     if not word.is_classical:
         raise ValueError("normal forms are defined for classical words only")
-    n, delta = word.n, perm_delta(word.n)
-    steps = []
-    for i, s in word.letters:
-        t = perm_transposition(n, i)
-        # sigma_i^-1 = Delta^-1 * (Delta sigma_i^-1)
-        steps.append((0, t) if s > 0 else (-1, perm_mult(delta, t)))
-    return _right_multiply(n, 0, (), steps)
+    return _right_multiply(word.n, 0, (), _simple_runs(word.n, word.letters))
 
 
 def nf_mul(x: NormalForm, y: NormalForm) -> NormalForm:

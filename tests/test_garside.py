@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from braidrep import garside
 from braidrep.braid import BraidWord, relation_set
 from braidrep.garside import (
     NormalForm,
@@ -207,6 +208,87 @@ def test_agrees_with_fixpoint_reference():
             assert ny == _ref_normal_form(y), (n, y.text())
             assert nf_mul(nx, ny) == _ref_mul(nx, ny), (n, x.text(), y.text())
             assert nf_inverse(nx) == _ref_inverse(nx), (n, x.text())
+
+
+# -- simple runs: letters enter the product one maximal simple run at a time ----
+
+RUN_WORDS = [
+    (2, "1 1"), (3, "1 1"), (2, "-1 -1 -1"),
+    (3, "1 2 1 2 1"), (4, "1 2 1 2 1"), (3, "-1 -2 -1 -2"), (3, "2 1 2 1"),
+    (5, "1 2 3 4"), (5, "4 3 2 1 4 3 2 1"), (6, "1 3 5 2 4"), (5, "-1 -3 -2 -4"),
+    (3, "1 2 -1 -2 1 2 -1 -2"), (4, "1 1 -2 -2 3 3 -1 -1"), (4, "-3 -2 -1 1 2 3"),
+]
+
+
+def _run_heavy_word(rng, n, runs):
+    """Runs of 1 to 2n letters of one sign; half the time the next run keeps
+    the sign, so one same-sign stretch spans several simple runs."""
+    letters, sign = [], rng.choice((1, -1))
+    for _ in range(runs):
+        letters += [(rng.randint(1, n - 1), sign) for _ in range(rng.randint(1, 2 * n))]
+        if rng.random() < 0.5:
+            sign = -sign
+    return BraidWord(n, tuple(letters))
+
+
+def _check_against_reference(word):
+    nf = to_normal_form(word)
+    assert nf == _ref_normal_form(word), (word.n, word.text())
+    assert nf_inverse(nf) == _ref_inverse(nf), (word.n, word.text())
+    return nf
+
+
+@pytest.mark.parametrize("n,text", RUN_WORDS)
+def test_simple_runs_agree_with_reference(n, text):
+    word = B(n, text)
+    nf = _check_against_reference(word)
+    inverse = _check_against_reference(word.inverse())
+    assert nf_mul(nf, inverse) == _ref_mul(nf, inverse) == NormalForm.identity(n)
+
+
+def test_half_twist_runs_agree_with_reference():
+    for n in range(2, 9):
+        delta = BraidWord(n, tuple(_positive_word(perm_delta(n))))
+        assert _check_against_reference(delta) == NormalForm(n, 1, ())
+        assert _check_against_reference(delta.inverse()) == NormalForm(n, -1, ())
+
+
+def test_run_heavy_words_agree_with_reference():
+    rng = random.Random(2025)
+    for n in range(2, 9):
+        for runs in (1, 2, 5, 12) * 2:
+            x = _check_against_reference(_run_heavy_word(rng, n, runs))
+            y = _check_against_reference(_run_heavy_word(rng, n, rng.randint(1, 6)))
+            assert nf_mul(x, y) == _ref_mul(x, y), (n, x, y)
+
+
+def _reduced_word(rng, n, length):
+    """A freely reduced random word, as the word-problem benchmark draws them."""
+    letters = []
+    while len(letters) < length:
+        x = (rng.randint(1, n - 1), rng.choice((1, -1)))
+        if not letters or letters[-1] != (x[0], -x[1]):
+            letters.append(x)
+    return BraidWord(n, tuple(letters))
+
+
+# _left_weight_pair calls for _reduced_word(Random(8200), 8, 200) when every
+# letter entered the product as a step of its own.
+PER_LETTER_CALLS_8_200 = 2099
+
+
+def test_a_simple_run_enters_in_one_step(monkeypatch):
+    calls = []
+    inner = garside._left_weight_pair
+    monkeypatch.setattr(garside, "_left_weight_pair", lambda a, b: calls.append(1) or inner(a, b))
+    delta = BraidWord(6, tuple(_positive_word(perm_delta(6))))
+    assert len(delta.letters) == 15
+    assert to_normal_form(delta) == NormalForm(6, 1, ())
+    assert to_normal_form(delta.inverse()) == NormalForm(6, -1, ())
+    assert not calls
+    word = _reduced_word(random.Random(8200), 8, 200)
+    assert to_normal_form(word) == _ref_normal_form(word)
+    assert 0 < len(calls) < PER_LETTER_CALLS_8_200
 
 
 # -- long words, at the shapes the word-problem benchmark uses --------------------
