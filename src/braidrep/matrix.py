@@ -10,7 +10,10 @@ sparse row-wise product (Gustavson, ACM TOMS 4(3), 1978) over each row's
 nonzero entries, for any entry type: LaurentPoly, RatFunc or Fraction.
 Determinants, characteristic polynomials and inverses come from one
 division-free routine, Berkowitz's algorithm (Inf. Proc. Letters 18, 1984),
-which uses ring operations only.  The inverse follows from the same
+which uses ring operations only.  Its one sum-of-products loop is
+`ring.sum_of_products`: every entry of its matrix-vector products and of its
+Toeplitz step is one call, with all the term products in one accumulator and
+no polynomial built per product.  The inverse follows from the same
 coefficients by Cayley-Hamilton.  Over the fraction field each row is first
 scaled to polynomial entries by a common denominator, and the denominators
 are divided out once at the end.
@@ -22,7 +25,7 @@ import json
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .ring import (
     ONE,
@@ -33,6 +36,8 @@ from .ring import (
     _coerce_ratfunc,
     parse_poly,
     parse_ratfunc,
+    sum_of_products,
+    variables_of,
 )
 
 RING_LAURENT = "laurent"
@@ -221,14 +226,11 @@ class RingMatrix:
         """det(A - var*I) = (-1)^dim * det(var*I - A), expanded in canonical form."""
         if self.ring != RING_LAURENT:
             raise ValueError("characteristic polynomial requires Laurent entries")
-        for row in self.rows:
-            for e in row:
-                if var in e.variables():
-                    raise ValueError(f"matrix entries already involve {var!r}")
+        if var in variables_of(e for row in self.rows for e in row):
+            raise ValueError(f"matrix entries already involve {var!r}")
         dim = self.dim
-        total = ZERO
-        for k, c in enumerate(_berkowitz(self.rows)):
-            total = total + c * LaurentPoly.variable(var, dim - k)
+        total = sum_of_products((c, LaurentPoly.variable(var, dim - k))
+                                for k, c in enumerate(_berkowitz(self.rows)))
         return -total if dim % 2 else total
 
     def evaluate(self, point: Mapping[str, Fraction | int]) -> tuple[tuple[Fraction, ...], ...]:
@@ -309,16 +311,6 @@ def sparse_mul(left: Sequence[Mapping], right: Sequence[Mapping]) -> list[dict]:
     return out
 
 
-def _sparse_dot(pairs: Iterable[tuple[int, LaurentPoly]], vec: Sequence[LaurentPoly]) -> LaurentPoly:
-    """Sum of x * vec[j] over the (j, x) pairs."""
-    acc = ZERO
-    for j, x in pairs:
-        y = vec[j]
-        if y:
-            acc = acc + x * y
-    return acc
-
-
 def _berkowitz(rows: Sequence[Sequence[LaurentPoly]]) -> list[LaurentPoly]:
     """Coefficients c_0 = 1, c_1, ..., c_dim of det(x*I - A) = sum c_k x^(dim-k).
 
@@ -327,30 +319,29 @@ def _berkowitz(rows: Sequence[Sequence[LaurentPoly]]) -> list[LaurentPoly]:
     (of size m), its characteristic polynomial is the Toeplitz product of
     (1, -a, -r.c, -r.S c, ..., -r.S^(m-1) c) with the one of S; the powers of
     S are applied to c one matrix-vector product at a time, over the nonzero
-    entries of each row only, and not at all when r or c is zero.
+    entries of each row only, and not at all when r or c is zero.  Every
+    entry of both products is one `sum_of_products`.
     """
     dim = len(rows)
     nonzero = sparse_rows(rows)
     poly = [ONE, -rows[-1][-1]]
     for k in range(dim - 2, -1, -1):
         m = dim - k - 1
-        r = [(j, e) for j, e in nonzero[k].items() if j > k]
+        # r is negated once, so that -r.S^i c needs no negation of its own.
+        neg_r = [(j, -e) for j, e in nonzero[k].items() if j > k]
         # vec is indexed by column; its first k + 1 entries are never read.
         vec = [ZERO] * (k + 1) + [row[k] for row in rows[k + 1:]]
-        s = [rows[k][k]] + [ZERO] * m
-        if r and any(vec):
+        toeplitz = [ONE, -rows[k][k]] + [ZERO] * m
+        if neg_r and any(vec):
             block = [[(j, e) for j, e in nonzero[i].items() if j > k]
                      for i in range(k + 1, dim)]
-            s[1] = _sparse_dot(r, vec)
-            for i in range(2, m + 1):
-                vec[k + 1:] = [_sparse_dot(row, vec) for row in block]
-                s[i] = _sparse_dot(r, vec)
-        s_nonzero = [(j, x) for j, x in enumerate(s) if x]
-        new = [ONE]
-        for i in range(1, m + 2):
-            acc = _sparse_dot([(i - 1 - j, x) for j, x in s_nonzero if j < i], poly)
-            new.append(poly[i] - acc if i <= m else -acc)
-        poly = new
+            toeplitz[2] = sum_of_products((x, vec[j]) for j, x in neg_r)
+            for i in range(3, m + 2):
+                vec[k + 1:] = [sum_of_products((x, vec[j]) for j, x in row) for row in block]
+                toeplitz[i] = sum_of_products((x, vec[j]) for j, x in neg_r)
+        nonzero_column = [(j, x) for j, x in enumerate(toeplitz) if x]
+        poly = [sum_of_products((x, poly[i - j]) for j, x in nonzero_column if 0 <= i - j <= m)
+                for i in range(m + 2)]
     return poly
 
 

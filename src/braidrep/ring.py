@@ -138,8 +138,7 @@ class LaurentPoly:
         return out
 
     def variables(self) -> set[str]:
-        differs = reduce(or_, (m ^ _UNIT for m in self.terms), 0)
-        return {name for name, shift in zip(_VAR_NAMES, _SHIFTS) if (differs >> shift) & _FIELD}
+        return variables_of((self,))
 
     def _exponents_of(self, name: str) -> list[int]:
         shift = _SHIFTS[_VAR_INDEX[name]]
@@ -382,6 +381,36 @@ def variable(name: str, exponent: int = 1) -> LaurentPoly:
     return LaurentPoly.variable(name, exponent)
 
 
+def variables_of(polys: Iterable[LaurentPoly]) -> set[str]:
+    """The variables that occur in any of the polynomials, from one pass over their keys."""
+    differs = reduce(or_, (m ^ _UNIT for p in polys for m in p.terms), 0)
+    return {name for name, shift in zip(_VAR_NAMES, _SHIFTS) if (differs >> shift) & _FIELD}
+
+
+def sum_of_products(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """The sum of x * y over the (x, y) pairs, accumulated in one dict.
+
+    No polynomial is built per product.  The guard bits are checked over
+    every key touched, before zero coefficients are dropped (once, at the
+    end), so a term product out of range raises OverflowError, as under *,
+    even where the sum cancels it.
+    """
+    acc: dict[Mono, int] = {}
+    get = acc.get
+    for x, y in pairs:
+        a, b = x.terms, y.terms
+        if len(a) > len(b):
+            a, b = b, a
+        for m1, c1 in a.items():
+            delta = m1 - _UNIT
+            for m2, c2 in b.items():
+                m = delta + m2
+                acc[m] = get(m, 0) + c1 * c2
+    if reduce(or_, acc, 0) & _GUARDS:
+        raise OverflowError(_RANGE_ERROR)
+    return LaurentPoly({m: c for m, c in acc.items() if c})
+
+
 # -- canonical text form -----------------------------------------------------
 
 def canonical_string(poly: LaurentPoly) -> str:
@@ -526,7 +555,7 @@ def _gcd_normalize(p: LaurentPoly) -> LaurentPoly:
 
 
 def _main_variable(p: LaurentPoly, q: LaurentPoly) -> int:
-    present = p.variables() | q.variables()
+    present = variables_of((p, q))
     if not present:
         raise ValueError("no variable present")
     return min(_VAR_INDEX[name] for name in present)

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from braidrep import matrix
 from braidrep.braid import BraidWord
-from braidrep.matrix import RingMatrix, SingularMatrixError
-from braidrep.reps import GroupAlgebraElem, exterior_square_burau, lkb, rep_apply
-from braidrep.ring import LaurentPoly, RatFunc, integer, variable
-from conftest import rand_poly
+from braidrep.matrix import RingMatrix, SingularMatrixError, sparse_rows
+from braidrep.reps import GroupAlgebraElem, burau, exterior_square_burau, lkb, rep_apply
+from braidrep.ring import ONE, ZERO, LaurentPoly, RatFunc, integer, variable
+from conftest import rand_classical_word, rand_poly
 
 q = variable("q")
 t = variable("t")
@@ -299,6 +300,78 @@ def test_charpoly_similarity_at_random_points():
         for wv in (Fraction(0), Fraction(1), Fraction(3, 2)):
             expected = cp.evaluate({**point, "w": wv})
             assert fraction_charpoly(conj, wv) == expected
+
+
+def _ref_sparse_dot(pairs, vec):
+    """Sum of x * vec[j] over the (j, x) pairs."""
+    acc = ZERO
+    for j, x in pairs:
+        y = vec[j]
+        if y:
+            acc = acc + x * y
+    return acc
+
+
+def _ref_berkowitz(rows):
+    """Berkowitz's algorithm with every product a LaurentPoly * and every sum
+    a +: the reference for the library's one-accumulator version."""
+    dim = len(rows)
+    nonzero = sparse_rows(rows)
+    poly = [ONE, -rows[-1][-1]]
+    for k in range(dim - 2, -1, -1):
+        m = dim - k - 1
+        r = [(j, e) for j, e in nonzero[k].items() if j > k]
+        # vec is indexed by column; its first k + 1 entries are never read.
+        vec = [ZERO] * (k + 1) + [row[k] for row in rows[k + 1:]]
+        s = [rows[k][k]] + [ZERO] * m
+        if r and any(vec):
+            block = [[(j, e) for j, e in nonzero[i].items() if j > k]
+                     for i in range(k + 1, dim)]
+            s[1] = _ref_sparse_dot(r, vec)
+            for i in range(2, m + 1):
+                vec[k + 1:] = [_ref_sparse_dot(row, vec) for row in block]
+                s[i] = _ref_sparse_dot(r, vec)
+        s_nonzero = [(j, x) for j, x in enumerate(s) if x]
+        new = [ONE]
+        for i in range(1, m + 2):
+            acc = _ref_sparse_dot([(i - 1 - j, x) for j, x in s_nonzero if j < i], poly)
+            new.append(poly[i] - acc if i <= m else -acc)
+        poly = new
+    return poly
+
+
+def test_berkowitz_matches_reference_on_word_images(monkeypatch):
+    rng = random.Random(13)
+    for make in (burau, lkb, exterior_square_burau):
+        for n in range(2, 6):
+            # An 8-letter LKB image at n = 5 takes seconds per Berkowitz run.
+            top = 5 if make is lkb and n == 5 else 8
+            for length in (rng.randint(1, top - 1), top):
+                image = rep_apply(make(n), rand_classical_word(rng, n, length))
+                assert matrix._berkowitz(image.rows) == _ref_berkowitz(image.rows)
+                det, inverse = image.det(), image.inverse()
+                with monkeypatch.context() as patch:
+                    patch.setattr(matrix, "_berkowitz", _ref_berkowitz)
+                    assert image.det() == det and image.inverse() == inverse
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_berkowitz_matches_reference_on_random_sparse_matrices(seed):
+    rng = random.Random(seed)
+    dim = rng.randint(2, 6)
+    rows = _random_sparse_rows(rng, dim, lambda: rand_poly(rng, terms=2, laurent=True))
+    rows = [[integer(e) if isinstance(e, int) else e for e in row] for row in rows]
+    i, j = rng.sample(range(dim), 2)
+    zero_row = [row[:] for row in rows]
+    zero_row[i] = [ZERO] * dim
+    zero_column = [[ZERO if c == j else e for c, e in enumerate(row)] for row in rows]
+    # Row i is -x times row j, so the determinant's terms cancel to zero.
+    x = rand_poly(rng, terms=2, laurent=True) or ONE
+    cancelling = [row[:] for row in rows]
+    cancelling[i] = [-x * e for e in rows[j]]
+    for variant in (rows, zero_row, zero_column, cancelling):
+        assert matrix._berkowitz(variant) == _ref_berkowitz(variant)
+    assert not matrix._berkowitz(cancelling)[-1]
 
 
 def test_json_round_trip():

@@ -15,6 +15,7 @@ from braidrep.ring import (
     parse_poly,
     parse_ratfunc,
     poly_gcd,
+    sum_of_products,
     variable,
 )
 from conftest import rand_poly
@@ -250,6 +251,14 @@ def test_exponent_bound_in_each_variable(name):
     # The other terms of a product stay in range; one bad term is enough.
     with pytest.raises(OverflowError):
         (variable(name, HIGH) + 1) * (x + 1)
+    assert sum_of_products([(variable(name, HIGH - 1), x)]) == variable(name, HIGH)
+    with pytest.raises(OverflowError):
+        sum_of_products([(ONE, x), (variable(name, HIGH), x)])
+    with pytest.raises(OverflowError):
+        sum_of_products([(variable(name, LOW), variable(name, -1))])
+    # A term product out of range raises even where the sum cancels it.
+    with pytest.raises(OverflowError):
+        sum_of_products([(variable(name, HIGH), x), (-variable(name, HIGH), x)])
     mono = x.leading()[0]
     assert variable(name, HIGH - 1).shift(mono) == variable(name, HIGH)
     assert variable(name, LOW + 1).unshift(mono) == variable(name, LOW)

@@ -3,11 +3,13 @@ the text round trip, the term order, gcd divisibility and hashing."""
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidrep.ring import (
@@ -18,6 +20,7 @@ from braidrep.ring import (
     integer,
     parse_poly,
     poly_gcd,
+    sum_of_products,
     variable,
 )
 
@@ -39,6 +42,13 @@ def exponents(max_exp):
 def polys(max_terms=4, max_exp=3):
     terms = st.lists(st.tuples(st.integers(-5, 5), exponents(max_exp)), max_size=max_terms)
     return terms.map(lambda ts: sum((c * monomial(e) for c, e in ts), ZERO))
+
+
+def factors():
+    """Polynomials, constants (zero included) and single terms."""
+    constants = st.integers(-5, 5).map(integer)
+    terms = st.tuples(st.integers(-5, 5).filter(bool), exponents(3))
+    return st.one_of(polys(), constants, terms.map(lambda ce: ce[0] * monomial(ce[1])))
 
 
 def to_sympy(p):
@@ -106,6 +116,23 @@ def test_gcd_divides_both(x, y, z):
     assert g.divides(x) and g.divides(y)
     # A common factor survives, up to the units the normalisation removes.
     assert z.is_zero() or poly_gcd(z, ZERO).divides(g)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(factors(), factors()), max_size=6), st.booleans())
+@example([], False)
+def test_sum_of_products_is_the_sum_of_each_product(pairs, cancel):
+    if cancel:
+        # Each pair followed by (-x, y), so that every product cancels exactly.
+        pairs = [p for x, y in pairs for p in ((x, y), (-x, y))]
+    expected = reduce(add, (x * y for x, y in pairs), ZERO)
+    got = sum_of_products(iter(pairs))
+    assert got == expected and hash(got) == hash(expected)
+    assert canonical_string(got) == canonical_string(expected)
+    if cancel or not pairs:
+        assert expected == ZERO
+    if expected == ZERO:
+        assert not got and got == ZERO and got == 0 and hash(got) == hash(ZERO)
 
 
 @SETTINGS
