@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -58,9 +59,28 @@ class UsageError(ValueError):
     pass
 
 
+# Python's int-to-str limit: a numerator or denominator with more digits could
+# not be printed, so no rational input may have one.
+MAX_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def _rational(value: str, what: str) -> Fraction:
     try:
-        return Fraction(value)
+        m = _EXPONENT.search(value)
+        # Fraction expands 10**|exponent| in full.  From this bound on, a
+        # nonzero mantissa of fewer than len(value) digits gives a numerator or
+        # denominator of more than MAX_DIGITS digits; a zero mantissa gives 0.
+        if m and abs(int(m.group(1))) >= MAX_DIGITS + len(value):
+            mantissa = value[:m.start()]
+            if any(ch in "123456789" for ch in mantissa):
+                raise ValueError
+            x = Fraction(mantissa)
+        else:
+            x = Fraction(value)
+        if max(abs(x.numerator), x.denominator) >= 10 ** MAX_DIGITS:
+            raise ValueError
+        return x
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"bad {what} value {value!r}") from None
 

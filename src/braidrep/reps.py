@@ -301,15 +301,17 @@ def _verify(subject: str, n: int, monoid: str,
             image: Callable[[BraidWord], object]) -> RelationReport:
     """Push every defining relation through `image`; failures carry the difference.
 
-    `image` maps a word to a value with `-` and `is_zero()`.
+    `image` maps a word to a value in canonical form, so a relation holds
+    exactly when its two sides compare equal with `==`; the difference
+    `lhs - rhs` is formed only for a relation that fails.
     """
     checks = []
     for rel in relation_set(n, monoid):
-        diff = image(rel.lhs) - image(rel.rhs)
-        ok = diff.is_zero()
+        lhs, rhs = image(rel.lhs), image(rel.rhs)
+        ok = lhs == rhs
         checks.append(
             RelationCheck(rel.label, str(rel.lhs), str(rel.rhs), ok,
-                          None if ok else diff)
+                          None if ok else lhs - rhs)
         )
     return RelationReport(subject, monoid, tuple(checks))
 
@@ -514,19 +516,30 @@ def singular_extension_by_affine_combination(rep: MatrixRep, a: Param = None,
 # M exactly when X commutes with N: each constraint is the commutant of one N,
 # and entry (r, s) of XN - NX puts N[k][s] at X[r][k] and -N[r][k] at X[k][s].
 # At an evaluation point this is a linear system in the entries of T_1; its
-# exact rational nullspace is computed below.  Matrices over Q are held as
-# sparse rows and multiplied by matrix.sparse_mul.
+# exact rational nullspace is computed below.  The products B_i, M, A_i are
+# sparse rows over Q, multiplied by matrix.sparse_mul; each N is then scaled
+# by the lcm of its denominators (which leaves its commutant unchanged), so
+# every constraint row is built as a list of ints.
 #
 # _rref eliminates over the integers (fraction-free): each row is scaled by the
-# lcm of its denominators, reduced against the pivot rows found so far by
-# gcd-scaled combinations a*v - b*p, and kept, divided by its content, if it is
-# not zero.  One back-substitution over the r <= m^2 pivot rows then clears the
-# pivot columns, and only the final rows are divided by their pivots.  The
-# reduced row echelon form of a matrix is unique, so the rows and pivots are
-# those of a Gauss-Jordan elimination over Q, and so are every nullspace basis,
-# span test and solver output built on them; only the arithmetic differs.
+# lcm of its denominators (an int row, as the solver's are, is taken as it is),
+# reduced against the pivot rows found so far by gcd-scaled combinations
+# a*v - b*p, and kept, divided by its content, if it is not zero.  One back-substitution over the
+# r <= m^2 pivot rows then clears the pivot columns, and only the final rows
+# are divided by their pivots.  The reduced row echelon form of a matrix is
+# unique, so the rows and pivots are those of a Gauss-Jordan elimination over
+# Q, and so are every nullspace basis, span test and solver output built on
+# them; only the arithmetic differs.
 
 FractRows = list[list[Fraction]]
+
+
+def _integer_row(row: list[Fraction]) -> list[int]:
+    """The row scaled by the lcm of its denominators (a unit scalar over Q); an int row as is."""
+    if all(type(x) is int for x in row):
+        return row
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row]
 
 
 def _eliminate(v: list[int], p: list[int], c: int) -> list[int]:
@@ -540,8 +553,7 @@ def _rref(rows: FractRows) -> tuple[FractRows, list[int]]:
     cols = len(rows[0]) if rows else 0
     found: list[tuple[int, list[int]]] = []  # (pivot column, integer row) in order found
     for row in rows:
-        d = lcm(*(x.denominator for x in row))
-        v = [x.numerator * (d // x.denominator) for x in row]
+        v = _integer_row(row)
         for c, p in found:
             if v[c]:
                 v = _eliminate(v, p, c)
@@ -568,7 +580,7 @@ def _rref(rows: FractRows) -> tuple[FractRows, list[int]]:
 
 def _nullspace(rows: FractRows, cols: int) -> list[list[Fraction]]:
     if not rows:
-        rows = [[Fraction(0)] * cols]
+        rows = [[0] * cols]
     rref, pivots = _rref(rows)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
@@ -630,13 +642,14 @@ def solve_extension_space(n: int, point: Mapping[str, Fraction | int]) -> Extens
     for i in range(1, n - 1):
         constraints.append((i, sparse_mul(sparse_mul(S[i + 1], S[i]),
                                           sparse_mul(S[i], S[i + 1]))))
-    rows: FractRows = []
+    rows: list[list[int]] = []
     for i, M in constraints:
-        N = [[row.get(c, 0) for c in range(m)]
-             for row in sparse_mul(sparse_mul(B[i], M), A[i])]
+        flat = _integer_row([row.get(c, 0) for row in sparse_mul(sparse_mul(B[i], M), A[i])
+                             for c in range(m)])
+        N = [flat[r * m:(r + 1) * m] for r in range(m)]
         for r in range(m):
             for s in range(m):
-                row = [Fraction(0)] * (m * m)
+                row = [0] * (m * m)
                 for k in range(m):
                     row[r * m + k] += N[k][s]
                     row[k * m + s] -= N[r][k]
@@ -648,7 +661,7 @@ def solve_extension_space(n: int, point: Mapping[str, Fraction | int]) -> Extens
         for vec in basis_vectors
     ]
     s1_flat = [S[1][r].get(c, 0) for r in range(m) for c in range(m)]
-    id_flat = [Fraction(int(r == c)) for r in range(m) for c in range(m)]
+    id_flat = [int(r == c) for r in range(m) for c in range(m)]
     contains_s1 = _in_span(basis_vectors, s1_flat)
     contains_id = _in_span(basis_vectors, id_flat)
     quadratic_ok: bool | None = None

@@ -23,7 +23,14 @@ RatFunc values are fully reduced fractions: the numerator is any Laurent
 polynomial, the denominator an ordinary polynomial with minimum degree zero
 in every variable and positive leading coefficient; monomial units are
 folded into the numerator and common factors (including integer content)
-are divided out.
+are divided out.  A numerator can share only an integer factor with an
+integer denominator d, so one helper, _over_int, reduces every fraction over
+a constant: it divides out the gcd of d and the numerator's content and
+moves the sign to the numerator.  `+` and `*` of two fractions over ints
+form their result in one step (n1*n2 over d1*d2; n1 + n2 over a shared d,
+or each numerator scaled by an int up to lcm(d1, d2)) and reduce it with the
+same helper, with no polynomial gcd and no product of denominators.  Any
+polynomial denominator takes the general path.
 """
 
 from __future__ import annotations
@@ -671,12 +678,16 @@ class RatFunc:
         other = _coerce_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
+        d1, d2 = _int_den(self.den), _int_den(other.den)
+        if d1 and d2:
+            d = math.lcm(d1, d2)
+            return _reduced(*_over_int(_scaled(self.num, d // d1) + _scaled(other.num, d // d2), d))
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return _reduced(-self.num, self.den)
 
     def __sub__(self, other):
         other = _coerce_ratfunc(other)
@@ -694,6 +705,9 @@ class RatFunc:
         other = _coerce_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
+        d1, d2 = _int_den(self.den), _int_den(other.den)
+        if d1 and d2:
+            return _reduced(*_over_int(self.num * other.num, d1 * d2))
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -757,6 +771,44 @@ def _coerce_ratfunc(value):
     return NotImplemented
 
 
+def _reduced(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
+    """The RatFunc num/den of a pair already in reduced form, built without normalising."""
+    out = object.__new__(RatFunc)
+    out.num, out.den = num, den
+    return out
+
+
+def _int_den(den: LaurentPoly) -> int:
+    """A reduced denominator as its (positive) int value, or 0 if it is not constant."""
+    terms = den.terms
+    return terms.get(_UNIT, 0) if len(terms) == 1 else 0
+
+
+def _scaled(poly: LaurentPoly, k: int) -> LaurentPoly:
+    """poly times the positive int k."""
+    return poly if k == 1 else LaurentPoly({m: k * c for m, c in poly.terms.items()})
+
+
+def _over_int(num: LaurentPoly, d: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """The reduced form of num / d for a nonzero int d.
+
+    Only an integer can divide both, so the gcd of d and num's content is
+    divided out, and the sign moves to the numerator.
+    """
+    if not num.terms:
+        return ZERO, ONE
+    if d < 0:
+        num, d = -num, -d
+    g = d
+    for c in num.terms.values():
+        if g == 1:
+            break
+        g = math.gcd(g, c)
+    if g > 1:
+        num, d = num.int_div(g), d // g
+    return num, ONE if d == 1 else LaurentPoly({_UNIT: d})
+
+
 def _normalize_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
@@ -766,16 +818,15 @@ def _normalize_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly
     dmono = den.monomial_gcd()
     den = den.unshift(dmono)
     num = num.unshift(dmono)
-    # A constant denominator shares only an integer with the numerator, and
-    # the content step below divides that out.
-    if not den.is_constant():
-        nmono = num.monomial_gcd()
-        core = num.unshift(nmono)
-        g = poly_gcd(core, den)
-        if not g.is_one():
-            core = core.exact_div(g)
-            den = den.exact_div(g)
-        num = core.shift(nmono)
+    if den.is_constant():
+        return _over_int(num, den.constant_value())
+    nmono = num.monomial_gcd()
+    core = num.unshift(nmono)
+    g = poly_gcd(core, den)
+    if not g.is_one():
+        core = core.exact_div(g)
+        den = den.exact_div(g)
+    num = core.shift(nmono)
     c = math.gcd(num.content(), den.content())
     if c > 1:
         num = num.int_div(c)

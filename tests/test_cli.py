@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -249,6 +251,53 @@ def test_solve_ext_point_names(capsys, point, message):
 def test_solve_ext_bad_point_value(capsys, value):
     code, out, err = run(capsys, "solve-ext", "--n", "3", "--point", f"q={value},t=2")
     assert (code, out, err) == (2, "", f"error: bad --point value {value!r}\n")
+
+
+@pytest.mark.parametrize("argv,value", [
+    (("verify", "--rep", "lkb-ext", "--n", "3", "--param"), "u=1e-3000000"),
+    (("rep", "--rep", "lkb-ext", "--n", "3", "--word", "t1", "--param"), "u=1e5000"),
+    (("rep", "--rep", "burau-ext", "--n", "3", "--word", "t1", "--param"), "a=1e4300"),
+    (("rep", "--rep", "burau-ext", "--n", "3", "--word", "t1", "--param"), "a=1e-4300"),
+    (("solve-ext", "--n", "3", "--point"), "q=2,t=7e-99999999"),
+    (("solve-ext", "--n", "3", "--point"), "q=2,t=" + "3" * 4301 + "/7"),
+])
+def test_rational_input_beyond_the_digit_limit_rejected(capsys, argv, value):
+    """A numerator or denominator of over 4300 digits is refused before it is expanded."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, value)
+    assert time.perf_counter() - start < 2
+    what = "--point" if argv[0] == "solve-ext" else "parameter"
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: bad {what} value") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value,plain", [("1e4299", "1" + "0" * 4299), ("0e99999999", "0"),
+                                         ("-25e-4299", "-1/4" + "0" * 4297)])
+def test_rational_input_at_the_digit_limit_accepted(capsys, value, plain):
+    argv = ("rep", "--rep", "burau-ext", "--n", "2", "--word", "t1", "--param")
+    code, out, _ = run(capsys, *argv, f"a={value}")
+    assert code == 0
+    assert (code, out) == run(capsys, *argv, f"a={plain}")[:2]
+
+
+# SHA-256 prefixes of stdout for the paths of integer-denominator fractions,
+# relation checks and integer constraint rows; every one exits 0.
+PINNED_OUTPUTS = [
+    (("rep", "--rep", "lkb-ext", "--n", "4", "--word", "t1 -2 t3 1 t2",
+      "--param", "u=1/2", "--param", "v=-3/5"), "43b988260d831bcd"),
+    (("rep", "--rep", "burau-ext", "--n", "5", "--word", "t1 t2 -3 t4 t1",
+      "--param", "a=2/7"), "f4e138f92f0c8a60"),
+    (("defect", "--n", "4", "--word", "1 -2 3 -1"), "37eb0465b732061e"),
+    (("solve-ext", "--n", "4", "--point", "q=2/3,t=-5/7"), "2ed1784501b360d3"),
+    (("solve-ext", "--n", "3", "--point", "q=-7/5,t=8/3"), "4549c2e91f8558c7"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS)
+def test_pinned_output_bytes(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("rep,params,rows", [

@@ -379,6 +379,14 @@ def test_corrupted_representation_fails_verification():
     assert not report.all_ok
     assert any(c.difference is not None and not c.difference.is_zero()
                for c in report.failures)
+    relations = relation_set(3, "Bn")
+    assert [c.label for c in report.checks] == [rel.label for rel in relations]
+    for rel, check in zip(relations, report.checks):
+        if check.ok:
+            assert check.difference is None
+        else:
+            expected = rep_apply(corrupted, rel.lhs) - rep_apply(corrupted, rel.rhs)
+            assert check.difference == expected and not expected.is_zero()
 
 
 # -- determinants of the singular images ---------------------------------------------

@@ -170,3 +170,29 @@ def test_constant_denominator_normal_form(num, d, shift):
     assert (r.num, r.den) == (expected_num, expected_den)
     given_value = to_sympy(num) / (d * to_sympy(monomial(shift)))
     assert sympy.cancel(given_value - to_sympy(r.num) / to_sympy(r.den)) == 0
+
+
+Q, T = variable("q"), variable("t")
+
+
+@SETTINGS
+@given(polys(), polys(), st.integers(-12, 12).filter(bool), st.integers(-12, 12).filter(bool))
+@example(3 * Q - T, -3 * Q + T, 4, 4)  # the sum cancels to zero
+@example(2 * Q, 2 * Q, 4, 4)  # q/2 + q/2 = q: denominator 1
+@example(3 * Q, 2 * Q, 9, -6)  # different denominators, one negative
+@example(-3 * T, -6 * Q * T, 2, 4)  # negative numerators
+def test_integer_denominator_arithmetic_matches_the_general_construction(n1, n2, d1, d2):
+    """+, - and * of fractions over ints give the form the constructor gives."""
+    x, y = RatFunc(n1, d1), RatFunc(n2, d2)
+    cases = [
+        (x + y, RatFunc(n1 * d2 + n2 * d1, d1 * d2), n1 * d2 + n2 * d1),
+        (x - y, RatFunc(n1 * d2 - n2 * d1, d1 * d2), n1 * d2 - n2 * d1),
+        (x * y, RatFunc(n1 * n2, d1 * d2), n1 * n2),
+    ]
+    for got, expected, num in cases:
+        assert (got.num, got.den) == (expected.num, expected.den)
+        assert str(got) == str(expected) and hash(got) == hash(expected) and got == expected
+        # Independently of the constructor: the same value, in lowest terms.
+        d = got.den.constant_value()
+        assert got.num * (d1 * d2) == num * d
+        assert d > 0 and math.gcd(d, *got.num.exponent_terms().values()) == 1
