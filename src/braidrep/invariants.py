@@ -67,7 +67,7 @@ def charpoly_invariant(n: int, word: BraidWord) -> InvariantValue:
         raise ValueError("the invariant is defined for classical words only")
     if word.n != n:
         raise ValueError("strand count mismatch")
-    return InvariantValue(n, rep_apply(lkb(n), word).charpoly("w"))
+    return InvariantValue(n, rep_apply(lkb(n), word).charpoly())
 
 
 def _moves(word: BraidWord, bounds: MarkovBounds) -> list[tuple[BraidWord, bool]]:

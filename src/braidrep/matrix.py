@@ -222,14 +222,14 @@ class RingMatrix:
             RING_RATFUNC,
         )
 
-    def charpoly(self, var: str = "w") -> LaurentPoly:
-        """det(A - var*I) = (-1)^dim * det(var*I - A), expanded in canonical form."""
+    def charpoly(self) -> LaurentPoly:
+        """det(A - w*I) = (-1)^dim * det(w*I - A), expanded in canonical form."""
         if self.ring != RING_LAURENT:
             raise ValueError("characteristic polynomial requires Laurent entries")
-        if var in variables_of(e for row in self.rows for e in row):
-            raise ValueError(f"matrix entries already involve {var!r}")
+        if "w" in variables_of(e for row in self.rows for e in row):
+            raise ValueError("matrix entries already involve 'w'")
         dim = self.dim
-        total = sum_of_products((c, LaurentPoly.variable(var, dim - k))
+        total = sum_of_products((c, LaurentPoly.variable("w", dim - k))
                                 for k, c in enumerate(_berkowitz(self.rows)))
         return -total if dim % 2 else total
 

@@ -26,10 +26,10 @@ Conventions used throughout:
   letters' images.  An algebra builds each letter's image once per call, on
   first use, so a verifier builds each one once for all its relations.
 
-The exterior square of the Burau representation is built both from a direct
-six-case formula and functorially (2x2 minors of the Burau matrix); the two
-constructions agree, and the v_{i,i+1} diagonal coefficient is -q, the
-determinant of the local Burau block.
+The exterior square of the Burau representation is the functor wedge_square
+(2x2 minors) applied to the stored Burau images in q and their inverses, so
+it inverts no matrix of its own; its v_{i,i+1} diagonal coefficient is -q,
+the determinant of the local Burau block.
 """
 
 from __future__ import annotations
@@ -215,46 +215,30 @@ def lkb_ext(n: int, u: Param = None, v: Param = None) -> MatrixRep:
 
 # -- exterior square of Burau -----------------------------------------------------
 
-def _wedge_sigma_rows(n: int, i: int) -> list[list[LaurentPoly]]:
-    q = variable("q")
-
-    def image(k: int, l: int) -> PairTerms:
-        if k != i and k != i + 1 and l != i and l != i + 1:
-            return [((k, l), integer(1))]
-        if k == i and l == i + 1:
-            # Determinant of the local Burau block [[1-q, q], [1, 0]].
-            return [((i, i + 1), -q)]
-        if l == i and k < i:
-            return [((k, i), 1 - q), ((k, i + 1), q)]
-        if l == i + 1 and k < i:
-            return [((k, i), integer(1))]
-        if k == i and l > i + 1:
-            return [((i, l), 1 - q), ((i + 1, l), q)]
-        if k == i + 1 and l > i + 1:
-            return [((i, l), integer(1))]
-        raise AssertionError((k, l, i))  # pragma: no cover - the cases are exhaustive
-
-    return _pair_rows(n, image)
-
-
 @cache
 def exterior_square_burau(n: int) -> MatrixRep:
-    """Second exterior power of the Burau representation written in q."""
-    if n < 2:
-        raise ValueError("strand count must be at least 2")
-    sigmas = [RingMatrix(_wedge_sigma_rows(n, i)) for i in range(1, n)]
-    return _finish_rep("wedge-burau", n, sigmas)
+    """Second exterior power of the Burau representation written in q.
+
+    Each image is wedge_square of the Burau image, sigma_i^-1 included, since
+    the exterior square of an inverse is the inverse of the exterior square.
+    """
+    base = burau(n, "q")
+    return MatrixRep("wedge-burau", n, n * (n - 1) // 2, RING_LAURENT,
+                     tuple(map(wedge_square, base.sigma_images)),
+                     tuple(map(wedge_square, base.sigma_inv_images)))
 
 
 def wedge_square(m: RingMatrix) -> RingMatrix:
     """Functorial exterior square: entries are the 2x2 minors on the pair basis."""
     n = m.dim
+    zero = coerce_entry(m.ring, 0)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rows = []
     for (a, b) in pairs:
         row = []
         for (c, d) in pairs:
-            row.append(m.rows[a][c] * m.rows[b][d] - m.rows[a][d] * m.rows[b][c])
+            minor = m.rows[a][c] * m.rows[b][d] - m.rows[a][d] * m.rows[b][c]
+            row.append(minor if minor else zero)
         rows.append(row)
     return RingMatrix(rows, m.ring)
 

@@ -95,12 +95,11 @@ def _checked(terms: dict[Mono, int]) -> LaurentPoly:
 class LaurentPoly:
     """Immutable Laurent polynomial with arbitrary-precision integer coefficients."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Mono, int]):
         # Takes ownership of `terms`; callers must not pass zero coefficients.
         self.terms = terms
-        self._hash: int | None = None
 
     # -- constructors --------------------------------------------------------
 
@@ -351,12 +350,9 @@ class LaurentPoly:
 
     def __hash__(self):
         # A constant hashes as its int, since it compares equal to it.
-        if self._hash is None:
-            if self.is_constant():
-                self._hash = hash(self.terms.get(_UNIT, 0))
-            else:
-                self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
+        if self.is_constant():
+            return hash(self.terms.get(_UNIT, 0))
+        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)

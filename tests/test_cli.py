@@ -281,7 +281,8 @@ def test_rational_input_at_the_digit_limit_accepted(capsys, value, plain):
 
 
 # SHA-256 prefixes of stdout for the paths of integer-denominator fractions,
-# relation checks and integer constraint rows; every one exits 0.
+# relation checks, integer constraint rows and the exterior square of Burau;
+# every one exits 0.
 PINNED_OUTPUTS = [
     (("rep", "--rep", "lkb-ext", "--n", "4", "--word", "t1 -2 t3 1 t2",
       "--param", "u=1/2", "--param", "v=-3/5"), "43b988260d831bcd"),
@@ -290,6 +291,13 @@ PINNED_OUTPUTS = [
     (("defect", "--n", "4", "--word", "1 -2 3 -1"), "37eb0465b732061e"),
     (("solve-ext", "--n", "4", "--point", "q=2/3,t=-5/7"), "2ed1784501b360d3"),
     (("solve-ext", "--n", "3", "--point", "q=-7/5,t=8/3"), "4549c2e91f8558c7"),
+    (("rep", "--rep", "wedge-burau", "--n", "9", "--word", "1 -2 8 -8 5 -3"),
+     "d397006dd4c0deb2"),
+    (("rep", "--rep", "wedge-burau", "--n", "6", "--word", "-1 -5 2 -2 4", "--out", "text"),
+     "45443d981f7e3bac"),
+    (("defect", "--n", "6", "--word", "1 -2 3 -4 5"), "575e9095a4b4f3cc"),
+    (("defect", "--n", "9", "--word", "-8 1"), "6fc8eb6856e93e89"),
+    (("verify", "--rep", "wedge-burau", "--n", "6", "--out", "json"), "60d966214e0253e0"),
 ]
 
 

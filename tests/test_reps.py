@@ -335,6 +335,44 @@ def test_wedge_direct_formula_equals_functorial():
             assert rep.sigma_image(i) == wedge_square(base.sigma_image(i))
 
 
+def _case_table_wedge(n, i):
+    """sigma_i on the exterior square of Burau in q, row by row from the six-case table.
+
+    A test-only reference with its own pair basis, independent of wedge_square:
+    row (k, l) is the image of v_k ^ v_l, as the sum of its (pair, coefficient)
+    terms.
+    """
+    pairs = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+    index = {p: r for r, p in enumerate(pairs)}
+    rows = [[0] * len(pairs) for _ in pairs]
+    for r, (k, l) in enumerate(pairs):
+        if k not in (i, i + 1) and l not in (i, i + 1):
+            terms = [((k, l), 1)]
+        elif (k, l) == (i, i + 1):
+            terms = [((i, i + 1), -q)]  # det of the local Burau block [[1-q, q], [1, 0]]
+        elif l == i:
+            terms = [((k, i), 1 - q), ((k, i + 1), q)]
+        elif l == i + 1 and k < i:
+            terms = [((k, i), 1)]
+        elif k == i:
+            terms = [((i, l), 1 - q), ((i + 1, l), q)]
+        else:
+            assert k == i + 1 < l
+            terms = [((i, l), 1)]
+        for pair, value in terms:
+            rows[r][index[pair]] = rows[r][index[pair]] + value
+    return RingMatrix(rows)
+
+
+def test_wedge_generators_match_the_case_table():
+    for n in range(2, 8):
+        rep = exterior_square_burau(n)
+        identity = RingMatrix.identity(rep.dim)
+        for i in range(1, n):
+            assert rep.sigma_image(i) == _case_table_wedge(n, i)
+            assert rep.sigma_image(i) * rep.sigma_inv_image(i) == identity
+
+
 def test_wedge_relations():
     for n in range(2, 6):
         assert verify_relations(exterior_square_burau(n)).all_ok
