@@ -31,6 +31,13 @@ form their result in one step (n1*n2 over d1*d2; n1 + n2 over a shared d,
 or each numerator scaled by an int up to lcm(d1, d2)) and reduce it with the
 same helper, with no polynomial gcd and no product of denominators.  Any
 polynomial denominator takes the general path.
+
+Polynomial text is a sum of terms.  A term is a sign (optional on the first
+term), then an integer or a factor, then any number of factors after '*'; a
+factor is a variable with an optional '^', '-' and digits.  Whitespace may
+stand between any two of these tokens.  parse_poly matches one term at a
+time, then each of its factors.  No two optional whitespace runs stand side
+by side in the patterns, so a failed match backtracks over each run once.
 """
 
 from __future__ import annotations
@@ -438,94 +445,44 @@ def canonical_string(poly: LaurentPoly) -> str:
     return "".join(parts)
 
 
-_INT_RE = re.compile(r"\d+")
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# The text grammar (module docstring): a factor, and a term.
+_FACTOR = r"([A-Za-z][A-Za-z0-9_]*)(?:\s*\^\s*(?:(-)\s*)?(\d+))?"
+_FACTOR_RE = re.compile(_FACTOR)
+_TERM_RE = re.compile(rf"\s*(?:([+-])\s*)?((\d+)|{_FACTOR})(?:\s*\*\s*{_FACTOR})*")
 
 
 def parse_poly(text: str) -> LaurentPoly:
     """Parse the canonical polynomial grammar (inverse of canonical_string)."""
+    end = len(text.rstrip())
+    if not end:
+        raise ParseError("empty polynomial", len(text))
     terms: dict[Mono, int] = {}
     pos = 0
-    n = len(text)
-
-    def skip_ws(p: int) -> int:
-        while p < n and text[p].isspace():
-            p += 1
-        return p
-
-    pos = skip_ws(pos)
-    if pos == n:
-        raise ParseError("empty polynomial", pos)
-    first = True
-    while pos < n:
-        sign = 1
-        pos = skip_ws(pos)
-        if not first or (pos < n and text[pos] in "+-"):
-            if pos >= n or text[pos] not in "+-":
-                raise ParseError("expected '+' or '-'", pos)
-            if text[pos] == "-":
-                sign = -1
-            pos = skip_ws(pos + 1)
-        first = False
-        term_pos = pos
-        coeff: int | None = None
-        exps: dict[int, int] = {}
-        saw_factor = False
-        expect_factor = True
-        while True:
-            pos = skip_ws(pos)
-            if expect_factor:
-                m = _INT_RE.match(text, pos)
-                if m and coeff is None and not saw_factor:
-                    coeff = int(m.group())
-                    pos = m.end()
-                    saw_factor = True
-                    expect_factor = False
-                    continue
-                m = _NAME_RE.match(text, pos)
-                if not m:
-                    if saw_factor:
-                        raise ParseError("expected a variable after '*'", pos)
-                    raise ParseError("expected a term", pos)
-                name = m.group()
-                if name not in _VAR_INDEX:
-                    raise ParseError(f"unknown variable {name!r}", pos)
-                pos = skip_ws(m.end())
-                exp = 1
-                if pos < n and text[pos] == "^":
-                    pos = skip_ws(pos + 1)
-                    esign = 1
-                    if pos < n and text[pos] == "-":
-                        esign = -1
-                        pos = skip_ws(pos + 1)
-                    m = _INT_RE.match(text, pos)
-                    if not m:
-                        raise ParseError("expected an exponent", pos)
-                    if len(m.group()) > 10:  # out of range; int() refuses over 4300 digits
-                        raise ParseError(_RANGE_ERROR, term_pos)
-                    exp = esign * int(m.group())
-                    pos = m.end()
-                idx = _VAR_INDEX[name]
-                exps[idx] = exps.get(idx, 0) + exp
-                saw_factor = True
-                expect_factor = False
-                continue
-            if pos < n and text[pos] == "*":
-                pos += 1
-                expect_factor = True
-                continue
-            break
-        c = 1 if coeff is None else coeff
+    while pos < end:
+        m = _TERM_RE.match(text, pos, end)
+        if m is None or (pos and not m.group(1)):  # a sign after the first term
+            raise ParseError("expected a term", pos)
+        term_pos = m.start(2)
+        c = int(m.group(3)) if m.group(3) else 1  # int() refuses over 4300 digits
+        exps = [0] * len(_VAR_NAMES)
+        for f in _FACTOR_RE.finditer(text, term_pos, m.end()):
+            name, minus, digits = f.groups()
+            if name not in _VAR_INDEX:
+                raise ParseError(f"unknown variable {name!r}", f.start())
+            if digits and len(digits) > 10:  # out of range, and int() is not asked
+                raise ParseError(_RANGE_ERROR, term_pos)
+            e = int(digits) if digits else 1
+            exps[_VAR_INDEX[name]] += -e if minus else e
         try:
-            mono = _pack([exps.get(i, 0) for i in range(len(_VAR_NAMES))])
+            mono = _pack(exps)
         except OverflowError:
             raise ParseError(_RANGE_ERROR, term_pos) from None
-        s = terms.get(mono, 0) + sign * c
+        s = terms.get(mono, 0) + (-c if m.group(1) == "-" else c)
         if s:
             terms[mono] = s
         else:
             terms.pop(mono, None)
-        pos = skip_ws(pos)
+        pos = m.end()
     return LaurentPoly(terms)
 
 

@@ -12,7 +12,7 @@ from braidrep.invariants import (
     enumerate_markov_class,
     verify_reference_examples,
 )
-from braidrep.ring import canonical_string, parse_poly, variable
+from braidrep.ring import ZERO, canonical_string, parse_poly, variable
 from conftest import rand_classical_word
 
 q = variable("q")
@@ -82,6 +82,26 @@ def test_conjugation_invariance_random():
             charpoly_invariant(n, conjugate(beta, alpha)).poly
             == charpoly_invariant(n, beta).poly
         )
+
+
+def _bar(poly):
+    """q -> q^-1 and t -> t^-1, with w fixed."""
+    out = ZERO
+    for exps, c in poly.exponent_terms().items():
+        e_q, e_t, e_w = exps + (0,) * (3 - len(exps))
+        out = out + c * variable("q", -e_q) * variable("t", -e_t) * variable("w", e_w)
+    return out
+
+
+def test_inverse_word_has_the_barred_invariant():
+    """LKB is unitary for q -> q^-1, t -> t^-1 (Budney 2005), so the
+    characteristic polynomial of LKB(w^-1) is the bar of that of LKB(w)."""
+    rng = random.Random(1984)
+    for n, max_len, count in ((2, 8, 15), (3, 8, 15), (4, 6, 15), (5, 5, 14)):
+        for _ in range(count):
+            word = rand_classical_word(rng, n, rng.randint(0, max_len))
+            assert (charpoly_invariant(n, word.inverse()).poly
+                    == _bar(charpoly_invariant(n, word).poly)), word
 
 
 def test_rejects_singular_words():

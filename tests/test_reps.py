@@ -135,6 +135,21 @@ def test_lkb_inverse_by_multiplication():
         assert prod == RingMatrix.identity(3)
 
 
+def test_generators_satisfy_their_minimal_polynomials():
+    """Burau's (S - 1)(S + t) = 0 and LKB's (S - 1)(S + q)(S - tq^2) = 0 hold
+    for every generator, and each stored inverse is the inverse."""
+    for n in range(2, 10):
+        for rep, roots in ((burau(n), (1, -t)), (lkb(n), (1, -q, t * q ** 2))):
+            one = RingMatrix.identity(rep.dim)
+            for i in range(1, n):
+                s = rep.sigma_image(i)
+                product = one
+                for root in roots:
+                    product = product * (s - root * one)
+                assert product.is_zero(), (rep.name, n, i)
+                assert s * rep.sigma_inv_image(i) == one, (rep.name, n, i)
+
+
 def test_lkb_relations():
     for n in range(2, 6):
         assert verify_relations(lkb(n)).all_ok

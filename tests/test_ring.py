@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -291,6 +292,29 @@ def test_parse_bound_reports_the_term():
         with pytest.raises(ParseError) as info:
             parse_poly(text)
         assert info.value.position == position
+
+
+LONG = 10 ** 5
+LONG_INPUTS = {
+    "spaces after a caret": ("q^" + " " * LONG + "x", ParseError),
+    "spaces after a variable": ("q" + " " * LONG + "x", ParseError),
+    "spaces after a star": ("q *" + " " * LONG, ParseError),
+    "spaces after a sign": ("-" + " " * LONG + "!", ParseError),
+    "25,000 terms": (" + ".join(["q"] * 25_000), 25_000 * q),
+}
+
+
+@pytest.mark.parametrize("text, expected", LONG_INPUTS.values(), ids=LONG_INPUTS)
+def test_parse_work_is_bounded(text, expected):
+    """About 10^5 characters parse or fail in linear time: a whitespace run
+    before a bad token is not re-read once per place it could be split."""
+    start = time.perf_counter()
+    if expected is ParseError:
+        with pytest.raises(ParseError):
+            parse_poly(text)
+    else:
+        assert parse_poly(text) == expected
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exact_division_at_the_bound():

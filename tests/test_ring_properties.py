@@ -2,6 +2,7 @@
 the text round trip, the term order, gcd divisibility and hashing."""
 
 import math
+import re
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -13,9 +14,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidrep.ring import (
+    _RANGE_ERROR,
+    _VAR_INDEX,
+    _VAR_NAMES,
     ONE,
     ZERO,
+    LaurentPoly,
+    Mono,
+    ParseError,
     RatFunc,
+    _pack,
     canonical_string,
     integer,
     parse_poly,
@@ -90,6 +98,166 @@ def test_products_agree_with_sympy(x, y):
 @given(polys(max_terms=6))
 def test_parse_inverts_canonical_string(p):
     assert parse_poly(canonical_string(p)) == p
+
+
+# -- the text grammar against the scanner it replaced ---------------------------
+#
+# _ref_parse_poly is the hand-written scanner that parse_poly was before it
+# became two regular expressions, copied verbatim as a test-only reference.
+
+_INT_RE = re.compile(r"\d+")
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
+def _ref_parse_poly(text: str) -> LaurentPoly:
+    """Parse the canonical polynomial grammar (inverse of canonical_string)."""
+    terms: dict[Mono, int] = {}
+    pos = 0
+    n = len(text)
+
+    def skip_ws(p: int) -> int:
+        while p < n and text[p].isspace():
+            p += 1
+        return p
+
+    pos = skip_ws(pos)
+    if pos == n:
+        raise ParseError("empty polynomial", pos)
+    first = True
+    while pos < n:
+        sign = 1
+        pos = skip_ws(pos)
+        if not first or (pos < n and text[pos] in "+-"):
+            if pos >= n or text[pos] not in "+-":
+                raise ParseError("expected '+' or '-'", pos)
+            if text[pos] == "-":
+                sign = -1
+            pos = skip_ws(pos + 1)
+        first = False
+        term_pos = pos
+        coeff: int | None = None
+        exps: dict[int, int] = {}
+        saw_factor = False
+        expect_factor = True
+        while True:
+            pos = skip_ws(pos)
+            if expect_factor:
+                m = _INT_RE.match(text, pos)
+                if m and coeff is None and not saw_factor:
+                    coeff = int(m.group())
+                    pos = m.end()
+                    saw_factor = True
+                    expect_factor = False
+                    continue
+                m = _NAME_RE.match(text, pos)
+                if not m:
+                    if saw_factor:
+                        raise ParseError("expected a variable after '*'", pos)
+                    raise ParseError("expected a term", pos)
+                name = m.group()
+                if name not in _VAR_INDEX:
+                    raise ParseError(f"unknown variable {name!r}", pos)
+                pos = skip_ws(m.end())
+                exp = 1
+                if pos < n and text[pos] == "^":
+                    pos = skip_ws(pos + 1)
+                    esign = 1
+                    if pos < n and text[pos] == "-":
+                        esign = -1
+                        pos = skip_ws(pos + 1)
+                    m = _INT_RE.match(text, pos)
+                    if not m:
+                        raise ParseError("expected an exponent", pos)
+                    if len(m.group()) > 10:  # out of range; int() refuses over 4300 digits
+                        raise ParseError(_RANGE_ERROR, term_pos)
+                    exp = esign * int(m.group())
+                    pos = m.end()
+                idx = _VAR_INDEX[name]
+                exps[idx] = exps.get(idx, 0) + exp
+                saw_factor = True
+                expect_factor = False
+                continue
+            if pos < n and text[pos] == "*":
+                pos += 1
+                expect_factor = True
+                continue
+            break
+        c = 1 if coeff is None else coeff
+        try:
+            mono = _pack([exps.get(i, 0) for i in range(len(_VAR_NAMES))])
+        except OverflowError:
+            raise ParseError(_RANGE_ERROR, term_pos) from None
+        s = terms.get(mono, 0) + sign * c
+        if s:
+            terms[mono] = s
+        else:
+            terms.pop(mono, None)
+        pos = skip_ws(pos)
+    return LaurentPoly(terms)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as error:  # ParseError, and int() past 4300 digits
+        return error
+
+
+SEMANTIC_ERRORS = ("unknown variable", _RANGE_ERROR)
+
+
+def assert_parses_as_the_reference(text):
+    """The same polynomial or the same exception type; for an unknown name or
+    a range error, also the same message and position."""
+    expected, got = _outcome(_ref_parse_poly, text), _outcome(parse_poly, text)
+    if isinstance(expected, LaurentPoly):
+        assert isinstance(got, LaurentPoly) and got == expected, (text, got)
+        return
+    assert type(got) is type(expected), (text, got, expected)
+    if str(expected).startswith(SEMANTIC_ERRORS) or str(got).startswith(SEMANTIC_ERRORS):
+        assert (str(got), got.position) == (str(expected), expected.position), text
+
+
+TOKEN = re.compile(r"\d+|[a-z]+|\S")
+SPACES = st.text(st.sampled_from(" \t\n\u2003\x1c"), max_size=2)
+SUBSTITUTES = ("x", "qq", "z1", "99999999999", str(2 ** 30), "1073741823*q", "-", "\u0663")
+
+
+@st.composite
+def spaced_canonical_texts(draw):
+    """A canonical string with whitespace between its tokens, and sometimes
+    one token replaced by an unknown name, an out-of-range exponent, a sign or
+    a digit of another script."""
+    tokens = TOKEN.findall(canonical_string(draw(polys(max_terms=4, max_exp=3))))
+    if draw(st.booleans()):
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(SUBSTITUTES))
+    return draw(SPACES) + "".join(token + draw(SPACES) for token in tokens)
+
+
+GRAMMAR_TEXTS = st.text(st.sampled_from(list("qtwuvabcxyz0123456789+-*^ _\t\n\u0663")),
+                        max_size=20)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(GRAMMAR_TEXTS)
+@example("")
+@example(" \t\n")
+@example("9" * 4301 + "*q")  # int() refuses the coefficient
+@example("q - " + "7" * 5000)
+@example("q^-" + "9" * 5000)  # a range error, int() never asked
+@example("zz^99999999999")  # the name is checked before the exponent
+@example("q^99999999999*zz")
+@example("q^1073741823*q + zz")  # the range error of the first term comes first
+@example("\u0663*q^\u0663")  # digits of any script
+def test_parse_matches_the_reference_scanner_on_any_text(text):
+    assert_parses_as_the_reference(text)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(spaced_canonical_texts())
+@example("q ^ - 2 * t\u2003+\x1c3 * w")
+def test_parse_matches_the_reference_scanner_on_spaced_canonical_strings(text):
+    assert_parses_as_the_reference(text)
 
 
 @SETTINGS
