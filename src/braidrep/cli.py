@@ -311,6 +311,17 @@ def cmd_birman(args) -> int:
     return _emit_elem(args, birman_image(word, params.get("a"), params.get("b"), params.get("c")))
 
 
+class _Once(argparse.Action):
+    """Store an option's value; giving the option a second time is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 @cache
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -320,19 +331,19 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, word=True, out_default="text"):
-        p.add_argument("--n", type=int, required=True, help="strand count")
+        p.add_argument("--n", action=_Once, type=int, required=True, help="strand count")
         if word:
-            p.add_argument("--word", default="", help='braid word, e.g. "1 2 -1 t1"')
-        p.add_argument("--out", choices=("text", "json"), default=out_default)
+            p.add_argument("--word", action=_Once, default="", help='braid word, e.g. "1 2 -1 t1"')
+        p.add_argument("--out", action=_Once, choices=("text", "json"), default=out_default)
 
     p = sub.add_parser("rep", help="image matrix of a word under a representation")
-    p.add_argument("--rep", choices=MATRIX_REPS, required=True)
+    p.add_argument("--rep", action=_Once, choices=MATRIX_REPS, required=True)
     p.add_argument("--param", action="append", metavar="k=v")
     common(p, out_default="json")
     p.set_defaults(fn=cmd_rep)
 
     p = sub.add_parser("verify", help="check every defining relation symbolically")
-    p.add_argument("--rep", choices=REP_NAMES, required=True)
+    p.add_argument("--rep", action=_Once, choices=REP_NAMES, required=True)
     p.add_argument("--param", action="append", metavar="k=v")
     common(p, word=False)
     p.set_defaults(fn=cmd_verify)
@@ -343,9 +354,9 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("markov", help="bounded Markov-class polynomial sample")
     common(p, out_default="json")
-    p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--max-strands", type=int, default=4)
-    p.add_argument("--max-len", type=int, default=12)
+    p.add_argument("--depth", action=_Once, type=int, default=1)
+    p.add_argument("--max-strands", action=_Once, type=int, default=4)
+    p.add_argument("--max-len", action=_Once, type=int, default=12)
     p.set_defaults(fn=cmd_markov)
 
     p = sub.add_parser("defect", help="additive and multiplicative defects of a word")
@@ -353,14 +364,14 @@ def _make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_defect)
 
     p = sub.add_parser("solve-ext", help="extension solution space at a rational point")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--point", required=True, metavar="q=r,t=s")
-    p.add_argument("--out", choices=("text", "json"), default="json")
+    p.add_argument("--n", action=_Once, type=int, required=True)
+    p.add_argument("--point", action=_Once, required=True, metavar="q=r,t=s")
+    p.add_argument("--out", action=_Once, choices=("text", "json"), default="json")
     p.set_defaults(fn=cmd_solve_ext)
 
     p = sub.add_parser("det-tau", help="symbolic determinant of the singular image")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", choices=("text", "json"), default="text")
+    p.add_argument("--n", action=_Once, type=int, required=True)
+    p.add_argument("--out", action=_Once, choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_det_tau)
 
     p = sub.add_parser("nf", help="Garside left-greedy normal form")

@@ -491,19 +491,18 @@ def singular_extension_by_affine_combination(rep: MatrixRep, a: Param = None,
 
 # -- extension uniqueness at rational points -------------------------------------------
 #
-# The images T_i of the singular generators under any extension of LKB must
-# commute with the images of the crossings they commute with, and satisfy the
-# long relations, which determine T_{i+1} from T_i by conjugation:
-# T_i = A_i X B_i with X = T_1, A_1 = B_1 = I, A_{i+1} = S_i S_{i+1} A_i and
-# B_{i+1} = B_i (S_i S_{i+1})^-1, so B_i = A_i^-1 throughout.  Hence
-# T_i M - M T_i = A_i (XN - NX) B_i with N = B_i M A_i, and T_i commutes with
-# M exactly when X commutes with N: each constraint is the commutant of one N,
-# and entry (r, s) of XN - NX puts N[k][s] at X[r][k] and -N[r][k] at X[k][s].
-# At an evaluation point this is a linear system in the entries of T_1; its
-# exact rational nullspace is computed below.  The products B_i, M, A_i are
-# sparse rows over Q, multiplied by matrix.sparse_mul; each N is then scaled
-# by the lcm of its denominators (which leaves its commutant unchanged), so
-# every constraint row is built as a list of ints.
+# The long relations give T_{i+1} = (S_i S_{i+1}) T_i (S_i S_{i+1})^-1, so T_i is
+# X = T_1 conjugated by the image of a_i, where a_1 = e and a_{i+1} = s_i s_{i+1} a_i.
+# Conjugating back by a_i turns each linear relation on T_i into one on X
+# (tests/test_reps.py::test_extension_reduction_braid_identities):
+# a_i^-1 s_i a_i = s_1; a_i^-1 s_j a_i is s_j for j >= i + 2 and s_{j+2} for
+# j <= i - 2; a_i^-1 (s_{i+1} s_i s_i s_{i+1}) a_i = c_i (s_2 s_1 s_1 s_2) c_i^-1
+# with c_i = s_{i+1} s_i ... s_3, letters X already commutes with.  So X need only
+# commute with S_1, each S_j for j >= 3 and N = S_2 S_1 S_1 S_2 (mixed-near,
+# mixed-far, and long-up with long-down).  Entry (r, s) of XN - NX puts N[k][s] at
+# X[r][k] and -N[r][k] at X[k][s]; at a point this is a linear system in the
+# entries of X, solved exactly below.  Each N is scaled by the lcm of its
+# denominators (leaving its commutant unchanged), so every row is a list of ints.
 #
 # _rref eliminates over the integers (fraction-free): each row is scaled by the
 # lcm of its denominators (an int row, as the solver's are, is taken as it is),
@@ -615,21 +614,10 @@ def solve_extension_space(n: int, point: Mapping[str, Fraction | int]) -> Extens
     m = rep.dim
     pt = {"q": qv, "t": tv}
     S = [None] + [sparse_rows(rep.sigma_image(i).evaluate(pt)) for i in range(1, n)]
-    S_inv = [None] + [sparse_rows(rep.sigma_inv_image(i).evaluate(pt)) for i in range(1, n)]
-    A = [None, [{r: Fraction(1)} for r in range(m)]]
-    B = [None, A[1]]
-    for i in range(1, n - 1):
-        A.append(sparse_mul(sparse_mul(S[i], S[i + 1]), A[i]))
-        B.append(sparse_mul(B[i], sparse_mul(S_inv[i + 1], S_inv[i])))
-    # T_i commutes with S_i and with every S_j, |i - j| >= 2.
-    constraints = [(i, S[j]) for i in range(1, n) for j in range(1, n) if abs(i - j) != 1]
-    for i in range(1, n - 1):
-        constraints.append((i, sparse_mul(sparse_mul(S[i + 1], S[i]),
-                                          sparse_mul(S[i], S[i + 1]))))
+    s2s1s1s2 = sparse_mul(sparse_mul(S[2], S[1]), sparse_mul(S[1], S[2]))
     rows: list[list[int]] = []
-    for i, M in constraints:
-        flat = _integer_row([row.get(c, 0) for row in sparse_mul(sparse_mul(B[i], M), A[i])
-                             for c in range(m)])
+    for M in (S[1], *S[3:], s2s1s1s2):
+        flat = _integer_row([row.get(c, 0) for row in M for c in range(m)])
         N = [flat[r * m:(r + 1) * m] for r in range(m)]
         for r in range(m):
             for s in range(m):
@@ -650,7 +638,8 @@ def solve_extension_space(n: int, point: Mapping[str, Fraction | int]) -> Extens
     contains_id = _in_span(basis_vectors, id_flat)
     quadratic_ok: bool | None = None
     if n >= 4:
-        quadratic_ok = _quadratic_commutations_hold(n, A, B, basis_vectors, m)
+        S_inv = [None] + [sparse_rows(rep.sigma_inv_image(i).evaluate(pt)) for i in range(1, n)]
+        quadratic_ok = _quadratic_commutations_hold(n, S, S_inv, basis_vectors, m)
     return ExtensionSolution(
         n=n,
         dimension=len(basis_vectors),
@@ -662,8 +651,14 @@ def solve_extension_space(n: int, point: Mapping[str, Fraction | int]) -> Extens
     )
 
 
-def _quadratic_commutations_hold(n: int, A, B, basis_vectors, m: int) -> bool:
+def _quadratic_commutations_hold(n: int, S, S_inv, basis_vectors, m: int) -> bool:
     """Check tau_i tau_j = tau_j tau_i, |i-j| >= 2, on the whole solution span."""
+    # T_i = A_i X B_i, with A_i the image of a_i (see above) and B_i = A_i^-1.
+    A = [None, [{r: Fraction(1)} for r in range(m)]]
+    B = [None, A[1]]
+    for i in range(1, n - 1):
+        A.append(sparse_mul(sparse_mul(S[i], S[i + 1]), A[i]))
+        B.append(sparse_mul(B[i], sparse_mul(S_inv[i + 1], S_inv[i])))
 
     def lift(i: int, vec) -> list[dict]:
         X = sparse_rows([vec[r * m:(r + 1) * m] for r in range(m)])

@@ -31,7 +31,6 @@ from functools import cache
 from typing import Callable, Iterator
 
 from .braid import BraidWord, Letter, word_image
-from .matrix import RingMatrix
 from .reps import LinComb, Param, RelationReport, _resolve_param, _verify
 from .ring import LaurentPoly, integer, variable
 
@@ -258,27 +257,22 @@ class TLInvertibility:
 
 
 def invertibility_check(n: int, a: Fraction | int, b: Fraction | int) -> TLInvertibility:
-    """Decide invertibility of a*u_i + b*e via the left-multiplication matrix.
+    """Decide invertibility of a*u_1 + b*e from u_1^2 = LOOP*u_1.
 
-    The element is scaled by the lcm of the parameter denominators (a unit
-    scalar, so invertibility is unchanged); the determinant is taken over the
-    diagram basis.  Nonzero determinant means invertible over the field of
-    fractions Q(t); a single-term determinant means invertible over the
-    Laurent ring itself.
+    Scaled by the lcm of the parameter denominators, a and b are integers.  u_1
+    takes each of the Catalan(n-1) diagrams with top arc (1, 2) to LOOP times
+    itself and every other diagram to one of them, so left multiplication is
+    triangular with determinant (b + a*LOOP)^Catalan(n-1) * b^(Catalan(n) -
+    Catalan(n-1)).  Nonzero means invertible over Q(t); over the Laurent ring
+    the scale must be 1 and the determinant a unit, +-t^k.
     """
+    if n < 2:
+        raise ValueError(f"generator index 1 out of range for n={n}")
     af, bf = Fraction(a), Fraction(b)
     scale = math.lcm(af.denominator, bf.denominator)
     ai, bi = int(af * scale), int(bf * scale)
-    elem = TLElem.generator(n, 1).scalar_mul(ai) + TLElem.unit(n).scalar_mul(bi)
-    basis = tl_basis(n)
-    index = {d: k for k, d in enumerate(basis)}
-    dim = len(basis)
-    rows = [[integer(0)] * dim for _ in range(dim)]
-    for col, diag in enumerate(basis):
-        product = elem * TLElem(n, {diag: 1})
-        for d, c in product.terms.items():
-            rows[index[d]][col] = c
-    det = RingMatrix(rows).det()
+    with_arc, total = (math.comb(2 * k, k) // (k + 1) for k in (n - 1, n))  # Catalan numbers
+    det = (integer(bi) + integer(ai) * LOOP) ** with_arc * integer(bi) ** (total - with_arc)
     return TLInvertibility(
         n=n,
         a=af,
@@ -286,5 +280,5 @@ def invertibility_check(n: int, a: Fraction | int, b: Fraction | int) -> TLInver
         det_scaled=det,
         scale=scale,
         invertible_over_field=not det.is_zero(),
-        invertible_over_ring=det.is_monomial(),
+        invertible_over_ring=scale == 1 and list(det.terms.values()) in ([1], [-1]),
     )

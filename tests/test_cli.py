@@ -235,6 +235,29 @@ def test_unknown_or_repeated_param_rejected(capsys, argv):
     assert err.startswith("error:") and "parameter" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,option", [
+    (("nf", "--n", "3", "--word", "1", "--word", "2"), "--word"),
+    (("nf", "--n", "3", "--n", "4", "--word", "1"), "--n"),
+    (("charpoly", "--n", "3", "--word", "1", "--out", "json", "--out", "text"), "--out"),
+    (("rep", "--rep", "burau", "--rep", "lkb", "--n", "3", "--word", "1"), "--rep"),
+    (("verify", "--rep", "lkb", "--n", "3", "--n", "3"), "--n"),
+    (("markov", "--n", "3", "--word", "1", "--depth", "1", "--depth", "2"), "--depth"),
+    (("markov", "--n", "3", "--word", "1", "--max-strands", "3", "--max-strands", "4"),
+     "--max-strands"),
+    (("markov", "--n", "3", "--word", "1", "--max-len", "5", "--max-len", "6"), "--max-len"),
+    (("defect", "--n", "3", "--word", "1", "--word", "1"), "--word"),
+    (("solve-ext", "--n", "3", "--point", "q=2,t=3", "--point", "q=5,t=7"), "--point"),
+    (("det-tau", "--n", "3", "--out", "text", "--out", "text"), "--out"),
+    (("tl", "--n", "3", "--word", "t1", "--word", "t2"), "--word"),
+    (("birman", "--n", "3", "--n", "2", "--word", "t1"), "--n"),
+])
+def test_repeated_option_rejected(capsys, argv, option):
+    # A value option given twice is refused rather than silently overridden.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"error: argument {option}: given more than once" in err
+
+
 @pytest.mark.parametrize("point,message", [
     ("q=2", "no value for t"),
     ("t=3", "no value for q"),

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from braidrep.braid import BraidWord, relation_set
-from braidrep.garside import NormalForm, nf_inverse, to_normal_form
+from braidrep.garside import NormalForm, nf_equal, nf_inverse, to_normal_form
 from braidrep.matrix import RingMatrix
 from braidrep.reps import (
     DegeneratePointError,
@@ -524,6 +524,36 @@ def test_affine_extension_of_matrix_rep():
 
 def _affine_span_checks(solution):
     assert solution.contains_generator_image and solution.contains_identity
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_extension_reduction_braid_identities(n):
+    # The braid identities that let the solver constrain T_1 by its own
+    # relations: with a_1 = e and a_{i+1} = s_i s_{i+1} a_i, conjugating by a_i
+    # takes every linear SM_n constraint on T_i to one on T_1, or to a
+    # conjugate of one by c_i = s_{i+1} s_i ... s_3, which T_1 commutes with.
+    def inv(word):
+        return [-x for x in reversed(word)]
+
+    def equal(x, y):
+        return nf_equal(B(n, " ".join(map(str, x))), B(n, " ".join(map(str, y))))
+
+    a_word = [None, []]
+    for i in range(1, n - 1):
+        a_word.append([i, i + 1] + a_word[i])
+    for i in range(1, n):
+        def conj(word):
+            return inv(a_word[i]) + word + a_word[i]
+
+        assert equal(conj([i]), [1])
+        for j in range(1, n):
+            if j >= i + 2:
+                assert equal(conj([j]), [j])
+            elif j <= i - 2:
+                assert equal(conj([j]), [j + 2])
+        if i <= n - 2:
+            c = list(range(i + 1, 2, -1))
+            assert equal(conj([i + 1, i, i, i + 1]), c + [2, 1, 1, 2] + inv(c))
 
 
 def test_extension_space_structure():

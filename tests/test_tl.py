@@ -1,11 +1,13 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from braidrep.braid import BraidWord
-from braidrep.ring import variable
+from braidrep.matrix import RingMatrix
+from braidrep.ring import integer, variable
 from braidrep.tl import (
     TLDiagram,
     TLElem,
@@ -115,6 +117,72 @@ def test_invertibility_checker():
     assert generic.invertible_over_field
     crossing_like = invertibility_check(3, 1, 1)
     assert isinstance(crossing_like.invertible_over_field, bool)
+
+
+def _left_multiplication_det(n, a, b):
+    """Reference for invertibility_check: the determinant of left
+    multiplication by the scaled a*u_1 + b*e on the diagram basis, and the scale."""
+    af, bf = Fraction(a), Fraction(b)
+    scale = math.lcm(af.denominator, bf.denominator)
+    ai, bi = int(af * scale), int(bf * scale)
+    elem = TLElem.generator(n, 1).scalar_mul(ai) + TLElem.unit(n).scalar_mul(bi)
+    basis = tl_basis(n)
+    index = {d: k for k, d in enumerate(basis)}
+    dim = len(basis)
+    rows = [[integer(0)] * dim for _ in range(dim)]
+    for col, diag in enumerate(basis):
+        product = elem * TLElem(n, {diag: 1})
+        for d, c in product.terms.items():
+            rows[index[d]][col] = c
+    return RingMatrix(rows).det(), scale
+
+
+def test_invertibility_matches_the_left_multiplication_determinant():
+    rng = random.Random("tl-invertibility")
+    values = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 4)]
+    for n in range(2, 7):
+        pairs = [(0, 0), (0, -2), (1, 0), (-1, 1)]
+        pairs += [(rng.choice(values), rng.choice(values)) for _ in range(2 if n == 6 else 6)]
+        for x, y in pairs:
+            det, scale = _left_multiplication_det(n, x, y)
+            report = invertibility_check(n, x, y)
+            assert (report.det_scaled, report.scale) == (det, scale), (n, x, y)
+            assert report.invertible_over_field == (not det.is_zero()), (n, x, y)
+    with pytest.raises(ValueError):
+        invertibility_check(1, 1, 1)  # u_1 needs two strands
+
+
+def test_u1_is_triangular_on_the_diagram_basis():
+    # u_1 D = DELTA*D for the Catalan(n-1) diagrams D with top arc (1, 2), and
+    # u_1 D is one such diagram for every other D.
+    for n in range(2, 8):
+        u1 = tl_generator(n, 1)
+        with_arc = [d for d in tl_basis(n) if d.match[0] == 1]
+        assert len(with_arc) == len(tl_basis(n - 1)) == math.comb(2 * n - 2, n - 1) // n
+        for d in tl_basis(n):
+            product = u1 * TLElem(n, {d: 1})
+            if d.match[0] == 1:
+                assert product == TLElem(n, {d: 1}).scalar_mul(DELTA)
+            else:
+                (image, coeff), = product.terms.items()
+                assert image.match[0] == 1 and coeff == 1
+
+
+@pytest.mark.parametrize("x,y,unit", [
+    (0, 1, True), (0, -1, True),
+    (0, 2, False), (0, Fraction(1, 2), False), (1, 0, False), (1, 1, False),
+])
+def test_invertibility_over_the_laurent_ring(x, y, unit):
+    # Only +-t^k are units of Z[t^+-1]; an element with a rational coefficient
+    # that is not an integer is not in the ring's algebra at all.
+    assert invertibility_check(3, x, y).invertible_over_ring is unit
+
+
+def test_invertibility_check_on_eight_strands_is_fast():
+    start = time.perf_counter()
+    report = invertibility_check(8, 3, -2)
+    assert time.perf_counter() - start < 2
+    assert report.invertible_over_field and not report.invertible_over_ring
 
 
 def test_elem_string_is_deterministic():
