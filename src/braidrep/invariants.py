@@ -10,6 +10,19 @@ bounds, deduplicating braids by Garside normal form and polynomials by
 canonical string.  A word reached by conjugation inherits the polynomial of
 the word it came from; only stabilization and destabilization children have
 their characteristic polynomial computed.
+
+The invariant is computed from half its coefficients, with no determinant.
+Write det(x*I - A) = sum_k c_k x^(m-k) for the m x m LKB image A, so that
+c_k = (-1)^k e_k, e_k the elementary symmetric functions of its eigenvalues.
+Newton's identities k*c_k = -(c_(k-1) p_1 + ... + c_0 p_k), with exact
+division by k, give c_1 .. c_h, h = m // 2, from the traces p_j = tr(A^j);
+each trace is sum (A^a)_ij (A^b)_ji with a + b = j, so only the powers up to
+A^ceil(h/2) are formed.  LKB is unitary for the involution bar: q -> 1/q,
+t -> 1/t (Budney, J. Knot Theory Ramifications 14, 2005), so A^-1 has the
+barred eigenvalues, e_(m-k) = det(A) * bar(e_k) and
+c_(m-k) = (-1)^m det(A) * bar(c_k).  det LKB(sigma_i) is (-q)^(n-2) * t*q^2,
+so det(A) is that monomial to the exponent sum of b.
+RingMatrix.charpoly stays Berkowitz for every other matrix.
 """
 
 from __future__ import annotations
@@ -19,8 +32,18 @@ from dataclasses import dataclass
 
 from .braid import BraidWord, conjugate, destabilize, free_reduce, sigma, stabilize
 from .garside import to_normal_form
+from .matrix import sparse_mul, sparse_rows
 from .reps import lkb, rep_apply
-from .ring import LaurentPoly, canonical_string, parse_poly
+from .ring import (
+    _UNIT,
+    ONE,
+    LaurentPoly,
+    _checked,
+    canonical_string,
+    parse_poly,
+    sum_of_products,
+    variable,
+)
 
 
 @dataclass(frozen=True)
@@ -67,7 +90,39 @@ def charpoly_invariant(n: int, word: BraidWord) -> InvariantValue:
         raise ValueError("the invariant is defined for classical words only")
     if word.n != n:
         raise ValueError("strand count mismatch")
-    return InvariantValue(n, rep_apply(lkb(n), word).charpoly())
+    return InvariantValue(n, _lkb_charpoly(n, word))
+
+
+def _lkb_charpoly(n: int, word: BraidWord) -> LaurentPoly:
+    """det(A - w*I) = (-1)^m * sum_k c_k w^(m-k) for A = LKB(word) (module docstring)."""
+    a = rep_apply(lkb(n), word)
+    m = a.dim
+    h = m // 2
+    powers = [[{i: ONE} for i in range(m)], sparse_rows(a.rows)]
+    while len(powers) <= (h + 1) // 2:
+        powers.append(sparse_mul(powers[-1], powers[1]))
+    c, traces = [ONE], []
+    for k in range(1, h + 1):
+        x, y = powers[(k + 1) // 2], powers[k // 2]
+        traces.append(sum_of_products((v, y[j][i]) for i, row in enumerate(x)
+                                      for j, v in row.items() if i in y[j]))
+        c.append(sum_of_products(zip(reversed(c), traces)).int_div(-k))
+    # det(A) = det_sign * q^(n*s) * t^s.  The entries involve q and t only,
+    # and the key 2*_UNIT - mono negates every exponent of mono, so the keys
+    # of det(A) * bar(c_k) are det_key + _UNIT - mono: no product is formed.
+    s = sum(sign for _, sign in word.letters)
+    det_key, = (variable("q", n * s) * variable("t", s)).terms
+    det_sign = -1 if n * s % 2 else 1
+    w_step = next(iter(variable("w").terms)) - _UNIT
+    sign = -1 if m % 2 else 1
+    terms = {}
+    for k in range(h + 1):  # (-1)^m c_k, the coefficient of w^(m-k)
+        shift = (m - k) * w_step
+        terms.update((mono + shift, sign * coeff) for mono, coeff in c[k].terms.items())
+    for k in range(m - h):  # (-1)^m c_(m-k) = det(A) * bar(c_k), the coefficient of w^k
+        top = det_key + _UNIT + k * w_step
+        terms.update((top - mono, det_sign * coeff) for mono, coeff in c[k].terms.items())
+    return _checked(terms)
 
 
 def _moves(word: BraidWord, bounds: MarkovBounds) -> list[tuple[BraidWord, bool]]:

@@ -331,6 +331,19 @@ def test_pinned_output_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
+def test_charpoly_at_nine_strands_pinned_and_fast(capsys):
+    """The invariant of a 16-letter word at n = 9 (a 36 x 36 LKB image), from
+    half its coefficients; Berkowitz's algorithm gave the same bytes in about
+    40 s on a 2-core x86-64 host, the route by traces in about 1 s."""
+    argv = ("charpoly", "--n", "9", "--word", "1 2 3 4 5 6 7 8 -1 -3 2 5 7 -6 4 4")
+    run(capsys, "rep", "--rep", "lkb", "--n", "9", "--word", "")  # build lkb(9) untimed
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "80e64301bce511e4"
+
+
 @pytest.mark.parametrize("rep,params,rows", [
     ("lkb-ext", ("u=0", "v=0"), [["0"] * 3] * 3),
     ("burau-ext", ("a=1",), [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),

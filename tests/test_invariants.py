@@ -12,6 +12,7 @@ from braidrep.invariants import (
     enumerate_markov_class,
     verify_reference_examples,
 )
+from braidrep.reps import lkb, rep_apply
 from braidrep.ring import ZERO, canonical_string, parse_poly, variable
 from conftest import rand_classical_word
 
@@ -102,6 +103,35 @@ def test_inverse_word_has_the_barred_invariant():
             word = rand_classical_word(rng, n, rng.randint(0, max_len))
             assert (charpoly_invariant(n, word.inverse()).poly
                     == _bar(charpoly_invariant(n, word).poly)), word
+
+
+def _berkowitz_cases():
+    """Words at n = 2..5: the empty word, every single letter, all-negative
+    words and random words, with exponent sums of both signs and zero."""
+    rng = random.Random(4711)
+    for n, max_len in ((2, 10), (3, 10), (4, 8), (5, 5)):
+        yield BraidWord(n, ())
+        for i in range(1, n):
+            yield BraidWord(n, ((i, 1),))
+            yield BraidWord(n, ((i, -1),))
+        for _ in range(3):
+            length = rng.randint(1, max_len)
+            yield BraidWord(n, tuple((rng.randint(1, n - 1), -1) for _ in range(length)))
+        for _ in range(10):
+            yield rand_classical_word(rng, n, rng.randint(1, max_len))
+        yield B(n, "1 -1 " * 2 + " ".join(f"{i} -{i}" for i in range(1, n)))
+
+
+def test_invariant_equals_the_berkowitz_charpoly():
+    """The invariant is computed from traces and the unitary mirror; here it
+    is compared with RingMatrix.charpoly, which is Berkowitz's algorithm."""
+    signs = set()
+    for word in _berkowitz_cases():
+        exponent_sum = sum(s for _, s in word.letters)
+        signs.add((exponent_sum > 0) - (exponent_sum < 0))
+        expected = rep_apply(lkb(word.n), word).charpoly()
+        assert charpoly_invariant(word.n, word).poly == expected, word
+    assert signs == {-1, 0, 1}
 
 
 def test_rejects_singular_words():

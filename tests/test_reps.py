@@ -150,6 +150,19 @@ def test_generators_satisfy_their_minimal_polynomials():
                 assert s * rep.sigma_inv_image(i) == one, (rep.name, n, i)
 
 
+def test_lkb_generator_determinants():
+    """det LKB(sigma_i) = (-q)^(n-2) * t*q^2 and det LKB(sigma_i^-1) is its
+    inverse: the monomial from which the invariant's mirror takes det(A)."""
+    for n in range(2, 10):
+        rep = lkb(n)
+        det = (-q) ** (n - 2) * t * q ** 2
+        det_inv = (-1) ** n * variable("q", -n) * variable("t", -1)
+        assert det * det_inv == 1
+        for i in range(1, n):
+            assert rep.sigma_image(i).det() == det, (n, i)
+            assert rep.sigma_inv_image(i).det() == det_inv, (n, i)
+
+
 def test_lkb_relations():
     for n in range(2, 6):
         assert verify_relations(lkb(n)).all_ok
