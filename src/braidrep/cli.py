@@ -117,11 +117,9 @@ def _build_rep(name: str, n: int, params: dict[str, object]) -> MatrixRep:
     return constructor(n, *(params.get(p) for p in names))
 
 
-def _emit(data: dict, out: str, text_fn) -> None:
-    if out == "json":
-        print(json.dumps(data, sort_keys=True))
-    else:
-        print(text_fn())
+def _emit(out: str, data, text) -> None:
+    """Print data() as JSON or text() as text: only the one asked for is built."""
+    print(json.dumps(data(), sort_keys=True) if out == "json" else text())
 
 
 def cmd_rep(args) -> int:
@@ -129,7 +127,7 @@ def cmd_rep(args) -> int:
     rep = _build_rep(args.rep, args.n, params)
     word = BraidWord.parse(args.n, args.word)
     image = rep_apply(rep, word)
-    _emit(image.to_json_dict(), args.out, lambda: str(image))
+    _emit(args.out, image.to_json_dict, image.__str__)
     return 0
 
 
@@ -141,14 +139,16 @@ def cmd_verify(args) -> int:
         )
     else:
         report = verify_relations(_build_rep(args.rep, args.n, params))
-    data = {
-        "subject": report.subject,
-        "monoid": report.monoid,
-        "total": len(report.checks),
-        "failures": [
-            {"label": c.label, "lhs": c.lhs, "rhs": c.rhs} for c in report.failures
-        ],
-    }
+
+    def data() -> dict:
+        return {
+            "subject": report.subject,
+            "monoid": report.monoid,
+            "total": len(report.checks),
+            "failures": [
+                {"label": c.label, "lhs": c.lhs, "rhs": c.rhs} for c in report.failures
+            ],
+        }
 
     def text() -> str:
         lines = [report.summary()]
@@ -157,16 +157,15 @@ def cmd_verify(args) -> int:
             lines.append(f"  difference: {c.difference}")
         return "\n".join(lines)
 
-    _emit(data, args.out, text)
+    _emit(args.out, data, text)
     return 0 if report.all_ok else 1
 
 
 def cmd_charpoly(args) -> int:
     _check_matrix_strands(args.n)
     word = BraidWord.parse(args.n, args.word)
-    value = charpoly_invariant(args.n, word)
-    data = {"n": args.n, "word": args.word, "poly": str(value)}
-    _emit(data, args.out, lambda: str(value))
+    value = str(charpoly_invariant(args.n, word))
+    _emit(args.out, lambda: {"n": args.n, "word": args.word, "poly": value}, lambda: value)
     return 0
 
 
@@ -178,16 +177,18 @@ def cmd_markov(args) -> int:
         depth=args.depth, max_strands=args.max_strands, max_word_length=args.max_len
     )
     sample = enumerate_markov_class(word, bounds)
-    data = {
-        "seed": {"n": args.n, "word": args.word},
-        "bounds": {
-            "depth": bounds.depth,
-            "max_strands": bounds.max_strands,
-            "max_word_length": bounds.max_word_length,
-        },
-        "polys": list(sample.polys),
-        "witnesses": {p: {"n": w.n, "word": w.text()} for p, w in sample.witnesses},
-    }
+
+    def data() -> dict:
+        return {
+            "seed": {"n": args.n, "word": args.word},
+            "bounds": {
+                "depth": bounds.depth,
+                "max_strands": bounds.max_strands,
+                "max_word_length": bounds.max_word_length,
+            },
+            "polys": list(sample.polys),
+            "witnesses": {p: {"n": w.n, "word": w.text()} for p, w in sample.witnesses},
+        }
 
     def text() -> str:
         lines = [f"{len(sample.polys)} polynomials"]
@@ -195,7 +196,7 @@ def cmd_markov(args) -> int:
             lines.append(f"{p}  <-  n={w.n} word={w.text() or 'e'}")
         return "\n".join(lines)
 
-    _emit(data, args.out, text)
+    _emit(args.out, data, text)
     return 0
 
 
@@ -203,17 +204,19 @@ def cmd_defect(args) -> int:
     _check_matrix_strands(args.n)
     word = BraidWord.parse(args.n, args.word)
     result = defect(args.n, word)
-    data = {
-        "n": args.n,
-        "word": args.word,
-        "additive": result.additive.to_json_dict(),
-        "multiplicative": result.multiplicative.to_json_dict(),
-    }
+
+    def data() -> dict:
+        return {
+            "n": args.n,
+            "word": args.word,
+            "additive": result.additive.to_json_dict(),
+            "multiplicative": result.multiplicative.to_json_dict(),
+        }
 
     def text() -> str:
         return f"additive:\n{result.additive}\nmultiplicative:\n{result.multiplicative}"
 
-    _emit(data, args.out, text)
+    _emit(args.out, data, text)
     return 0
 
 
@@ -227,17 +230,19 @@ def cmd_solve_ext(args) -> int:
             raise UsageError(f"coordinate {name!r} given twice")
         point[name] = _rational(value, "--point")
     solution = solve_extension_space(args.n, point)
-    data = {
-        "n": solution.n,
-        "dimension": solution.dimension,
-        "point": {k: str(v) for k, v in solution.point},
-        "contains_generator_image": solution.contains_generator_image,
-        "contains_identity": solution.contains_identity,
-        "quadratic_ok": solution.quadratic_ok,
-        "basis": [
-            [[str(x) for x in row] for row in mat] for mat in solution.basis_matrices
-        ],
-    }
+
+    def data() -> dict:
+        return {
+            "n": solution.n,
+            "dimension": solution.dimension,
+            "point": {k: str(v) for k, v in solution.point},
+            "contains_generator_image": solution.contains_generator_image,
+            "contains_identity": solution.contains_identity,
+            "quadratic_ok": solution.quadratic_ok,
+            "basis": [
+                [[str(x) for x in row] for row in mat] for mat in solution.basis_matrices
+            ],
+        }
 
     def text() -> str:
         lines = [
@@ -249,44 +254,57 @@ def cmd_solve_ext(args) -> int:
             lines.append(f"quadratic relations on span: {solution.quadratic_ok}")
         return "\n".join(lines)
 
-    _emit(data, args.out, text)
+    _emit(args.out, data, text)
     return 0
 
 
 def cmd_det_tau(args) -> int:
     _check_matrix_strands(args.n)
     cmp = det_tau_b4_diff() if args.n == 4 else None
-    det = det_tau_symbolic(args.n) if cmp is None else cmp["computed"]
-    data: dict = {"n": args.n, "det": canonical_string(det)}
-    lines = [canonical_string(det)]
-    if cmp is not None:
-        data["reference"] = canonical_string(cmp["reference"])
-        data["diff"] = canonical_string(cmp["diff"])
-        data["only_u6_terms"] = cmp["only_u6_terms"]
-        lines.append(f"reference diff: {canonical_string(cmp['diff'])}")
-        lines.append(f"diff confined to u^6 terms: {cmp['only_u6_terms']}")
-    _emit(data, args.out, lambda: "\n".join(lines))
+    det = canonical_string(det_tau_symbolic(args.n) if cmp is None else cmp["computed"])
+    diff = None if cmp is None else canonical_string(cmp["diff"])
+
+    def data() -> dict:
+        if cmp is None:
+            return {"n": args.n, "det": det}
+        return {"n": args.n, "det": det, "reference": canonical_string(cmp["reference"]),
+                "diff": diff, "only_u6_terms": cmp["only_u6_terms"]}
+
+    def text() -> str:
+        if cmp is None:
+            return det
+        return (f"{det}\nreference diff: {diff}\n"
+                f"diff confined to u^6 terms: {cmp['only_u6_terms']}")
+
+    _emit(args.out, data, text)
     return 0
 
 
 def cmd_nf(args) -> int:
     word = BraidWord.parse(args.n, args.word)
     nf = to_normal_form(word)
-    data = {
-        "n": args.n,
-        "word": args.word,
-        "inf": nf.inf,
-        "factors": [[v + 1 for v in f] for f in nf.factors],
-        "text": str(nf),
-    }
-    _emit(data, args.out, lambda: str(nf))
+
+    def data() -> dict:
+        return {
+            "n": args.n,
+            "word": args.word,
+            "inf": nf.inf,
+            "factors": [[v + 1 for v in f] for f in nf.factors],
+            "text": str(nf),
+        }
+
+    _emit(args.out, data, nf.__str__)
     return 0
 
 
 def _emit_elem(args, elem) -> int:
     """An algebra element of a word: its terms by basis key, or its text."""
-    terms = {str(k): str(c) for k, c in sorted(elem.terms.items())}
-    _emit({"n": args.n, "word": args.word, "terms": terms}, args.out, lambda: str(elem))
+
+    def data() -> dict:
+        terms = {str(k): str(c) for k, c in sorted(elem.terms.items())}
+        return {"n": args.n, "word": args.word, "terms": terms}
+
+    _emit(args.out, data, elem.__str__)
     return 0
 
 
@@ -296,12 +314,11 @@ def cmd_tl(args) -> int:
         if args.word:
             raise UsageError("--verify checks the relations and takes no --word")
         report = verify_tl_relations(args.n, params.get("a"), params.get("b"))
-        data = {
+        _emit(args.out, lambda: {
             "subject": report.subject,
             "total": len(report.checks),
             "failures": [{"label": c.label} for c in report.failures],
-        }
-        _emit(data, args.out, report.summary)
+        }, report.summary)
         return 0 if report.all_ok else 1
     word = BraidWord.parse(args.n, args.word)
     return _emit_elem(args, tl_rho(args.n, word, params.get("a"), params.get("b")))

@@ -21,6 +21,17 @@ maximal simple run at a time: consecutive letters of one sign whose product
 is still a permutation braid make one g, so a word costs one such pass per
 run, not per letter.
 
+A form keeps meeting the same factor pairs: on random words of up to 200
+letters at n = 4..8, the passes of one form meet each distinct pair 2.3 times
+on average, and at n = 4 there are only 22 factors to pair at all.
+_left_weight_pair depends on its pair alone, so _right_multiply keeps, for
+the length of one call, a pair's result from the second time the pair comes
+up; the first time only the pair's hash is kept.  A pair that never recurs
+thus holds no n-tuples alive, which matters at large n, where most pairs are
+met once: storing every result on first sight took the peak memory of a
+random 3000-letter word at n = 300 from 22 MB to 100 MB, against 30 MB this
+way.
+
 A negative run sigma_{i_1}^-1 ... sigma_{i_r}^-1 is P^-1 for the simple
 P = sigma_{i_r} ... sigma_{i_1}, and P^-1 = Delta^-1 * (Delta P^-1) with
 Delta P^-1 simple (a single letter gives Delta^-1 * (Delta sigma_i^-1)).
@@ -111,13 +122,23 @@ def _right_multiply(n: int, inf: int, factors: tuple[Perm, ...],
     ident, delta = perm_identity(n), perm_delta(n)
     out = list(factors)
     flip = 0
+    seen: set[int] = set()
+    memo: dict[tuple[Perm, Perm], tuple[Perm, Perm] | None] = {}
     for k, g in steps:
         inf += k
         flip ^= k & 1
         out.append(_flip(g) if flip else g)
         j = len(out) - 1
         while j:
-            pair = _left_weight_pair(out[j - 1], out[j])
+            key = (out[j - 1], out[j])
+            pair = memo.get(key, key)  # a stored result is never the key itself
+            if pair is key:
+                pair = _left_weight_pair(*key)
+                h = hash(key)
+                if h in seen:
+                    memo[key] = pair
+                else:
+                    seen.add(h)
             if pair is None:
                 break
             out[j - 1], out[j] = pair

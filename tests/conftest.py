@@ -11,6 +11,16 @@ def rand_classical_word(rng: random.Random, n: int, length: int) -> BraidWord:
     return BraidWord(n, letters)
 
 
+def reduced_classical_word(rng: random.Random, n: int, length: int) -> BraidWord:
+    """A freely reduced random word, as the word-problem benchmark draws them."""
+    letters = []
+    while len(letters) < length:
+        x = (rng.randint(1, n - 1), rng.choice((1, -1)))
+        if not letters or letters[-1] != (x[0], -x[1]):
+            letters.append(x)
+    return BraidWord(n, tuple(letters))
+
+
 def rand_poly(rng: random.Random, names=("q", "t"), terms=3, max_exp=2,
               max_coeff=3, laurent=False) -> LaurentPoly:
     poly = ZERO

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,7 +20,7 @@ from braidrep.garside import (
     to_normal_form,
 )
 from braidrep.reps import lkb, rep_apply
-from conftest import rand_classical_word
+from conftest import rand_classical_word, reduced_classical_word as _reduced_word
 
 B = BraidWord.parse
 
@@ -262,16 +263,6 @@ def test_run_heavy_words_agree_with_reference():
             assert nf_mul(x, y) == _ref_mul(x, y), (n, x, y)
 
 
-def _reduced_word(rng, n, length):
-    """A freely reduced random word, as the word-problem benchmark draws them."""
-    letters = []
-    while len(letters) < length:
-        x = (rng.randint(1, n - 1), rng.choice((1, -1)))
-        if not letters or letters[-1] != (x[0], -x[1]):
-            letters.append(x)
-    return BraidWord(n, tuple(letters))
-
-
 # _left_weight_pair calls for _reduced_word(Random(8200), 8, 200) when every
 # letter entered the product as a step of its own.
 PER_LETTER_CALLS_8_200 = 2099
@@ -289,6 +280,37 @@ def test_a_simple_run_enters_in_one_step(monkeypatch):
     word = _reduced_word(random.Random(8200), 8, 200)
     assert to_normal_form(word) == _ref_normal_form(word)
     assert 0 < len(calls) < PER_LETTER_CALLS_8_200
+
+
+def test_a_pair_is_left_weighted_at_most_twice_per_form(monkeypatch):
+    """_right_multiply keeps a pair's result from its second sighting on, so no
+    factor pair reaches _left_weight_pair a third time within one form, and the
+    forms still equal the fixpoint reference."""
+    seen = Counter()
+    inner = garside._left_weight_pair
+    monkeypatch.setattr(garside, "_left_weight_pair",
+                        lambda a, b: seen.update([(a, b)]) or inner(a, b))
+
+    peaks = []
+
+    def once(fn, *args):
+        seen.clear()
+        result = fn(*args)
+        peaks.append(max(seen.values(), default=0))
+        assert peaks[-1] <= 2, (fn.__name__, args)
+        return result
+
+    rng = random.Random(2026)
+    for n in range(2, 9):
+        words = [_run_heavy_word(rng, n, 20)]
+        if n in (3, 4, 5):
+            words.append(_reduced_word(rng, n, 300))
+        forms = [once(to_normal_form, word) for word in words]
+        for word, nf in zip(words, forms):
+            assert nf == _ref_normal_form(word), (n, word.text())
+            assert once(nf_inverse, nf) == _ref_inverse(nf), (n, word.text())
+        assert once(nf_mul, forms[-1], forms[0]) == _ref_mul(forms[-1], forms[0]), n
+    assert 2 in peaks
 
 
 # -- long words, at the shapes the word-problem benchmark uses --------------------
