@@ -51,9 +51,9 @@ REP_NAMES = (*MATRIX_REPS, "birman")
 PARAM_NAMES = {name: names for name, (_, names) in MATRIX_REPS.items()}
 PARAM_NAMES |= {"birman": ("a", "b", "c"), "tl": ("a", "b")}
 # The largest strand count of a command that builds a matrix representation
-# (LKB matrices have n(n-1)/2 rows): charpoly --n 9 on a 16-letter word takes
-# about a second, its invariant coming from traces, Newton's identities and the
-# unitary mirror rather than a 36 x 36 Berkowitz run.
+# (LKB matrices have n(n-1)/2 rows), set where charpoly on "1 2 ... 8" took
+# seconds.  It bounds size, not time: as fresh processes on a 2-core x86-64
+# host, charpoly --n 9 takes 1.0 s there and 7 s to 130 s on 16-letter words.
 MAX_MATRIX_STRANDS = 9
 
 

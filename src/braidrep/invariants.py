@@ -11,18 +11,18 @@ canonical string.  A word reached by conjugation inherits the polynomial of
 the word it came from; only stabilization and destabilization children have
 their characteristic polynomial computed.
 
-The invariant is computed from half its coefficients, with no determinant.
-Write det(x*I - A) = sum_k c_k x^(m-k) for the m x m LKB image A, so that
-c_k = (-1)^k e_k, e_k the elementary symmetric functions of its eigenvalues.
-Newton's identities k*c_k = -(c_(k-1) p_1 + ... + c_0 p_k), with exact
-division by k, give c_1 .. c_h, h = m // 2, from the traces p_j = tr(A^j);
-each trace is sum (A^a)_ij (A^b)_ji with a + b = j, so only the powers up to
-A^ceil(h/2) are formed.  LKB is unitary for the involution bar: q -> 1/q,
-t -> 1/t (Budney, J. Knot Theory Ramifications 14, 2005), so A^-1 has the
-barred eigenvalues, e_(m-k) = det(A) * bar(e_k) and
+The invariant is computed from half its coefficients.  Write
+det(x*I - A) = sum_k c_k x^(m-k) for the m x m LKB image A, so that
+c_k = (-1)^k e_k, e_k the elementary symmetric functions of its
+eigenvalues.  A Berkowitz run truncated at h = m // 2 (matrix._berkowitz
+with top = h) gives c_0 .. c_h, keeping h + 1 coefficients per trailing
+submatrix.  LKB is unitary for the involution bar: q -> 1/q, t -> 1/t
+(Budney, J. Knot Theory Ramifications 14, 2005), so A^-1 has the barred
+eigenvalues, e_(m-k) = det(A) * bar(e_k) and
 c_(m-k) = (-1)^m det(A) * bar(c_k).  det LKB(sigma_i) is (-q)^(n-2) * t*q^2,
-so det(A) is that monomial to the exponent sum of b.
-RingMatrix.charpoly stays Berkowitz for every other matrix.
+so det(A) is that monomial to the exponent sum of b, and the other half is
+one pass over packed keys.  RingMatrix.charpoly runs the same routine
+untruncated, for any matrix.
 """
 
 from __future__ import annotations
@@ -32,16 +32,14 @@ from dataclasses import dataclass
 
 from .braid import BraidWord, conjugate, destabilize, free_reduce, sigma, stabilize
 from .garside import to_normal_form
-from .matrix import sparse_mul, sparse_rows
+from .matrix import _berkowitz
 from .reps import lkb, rep_apply
 from .ring import (
     _UNIT,
-    ONE,
     LaurentPoly,
     _checked,
     canonical_string,
     parse_poly,
-    sum_of_products,
     variable,
 )
 
@@ -98,15 +96,7 @@ def _lkb_charpoly(n: int, word: BraidWord) -> LaurentPoly:
     a = rep_apply(lkb(n), word)
     m = a.dim
     h = m // 2
-    powers = [[{i: ONE} for i in range(m)], sparse_rows(a.rows)]
-    while len(powers) <= (h + 1) // 2:
-        powers.append(sparse_mul(powers[-1], powers[1]))
-    c, traces = [ONE], []
-    for k in range(1, h + 1):
-        x, y = powers[(k + 1) // 2], powers[k // 2]
-        traces.append(sum_of_products((v, y[j][i]) for i, row in enumerate(x)
-                                      for j, v in row.items() if i in y[j]))
-        c.append(sum_of_products(zip(reversed(c), traces)).int_div(-k))
+    c = _berkowitz(a.rows, h)
     # det(A) = det_sign * q^(n*s) * t^s.  The entries involve q and t only,
     # and the key 2*_UNIT - mono negates every exponent of mono, so the keys
     # of det(A) * bar(c_k) are det_key + _UNIT - mono: no product is formed.

@@ -10,7 +10,8 @@ sparse row-wise product (Gustavson, ACM TOMS 4(3), 1978) over each row's
 nonzero entries, for any entry type: LaurentPoly, RatFunc or Fraction.
 Determinants, characteristic polynomials and inverses come from one
 division-free routine, Berkowitz's algorithm (Inf. Proc. Letters 18, 1984),
-which uses ring operations only.  Its one sum-of-products loop is
+which uses ring operations only; it can stop at any coefficient, as the LKB
+invariant does halfway.  Its one sum-of-products loop is
 `ring.sum_of_products`: every entry of its matrix-vector products and of its
 Toeplitz step is one call, with all the term products in one accumulator and
 no polynomial built per product.  The inverse follows from the same
@@ -311,37 +312,40 @@ def sparse_mul(left: Sequence[Mapping], right: Sequence[Mapping]) -> list[dict]:
     return out
 
 
-def _berkowitz(rows: Sequence[Sequence[LaurentPoly]]) -> list[LaurentPoly]:
-    """Coefficients c_0 = 1, c_1, ..., c_dim of det(x*I - A) = sum c_k x^(dim-k).
+def _berkowitz(rows: Sequence[Sequence[LaurentPoly]], top: int | None = None) -> list[LaurentPoly]:
+    """Coefficients c_0 = 1, c_1, ..., c_top of det(x*I - A) = sum c_k x^(dim-k).
 
-    Works up from the trailing principal submatrices.  Splitting A[k:, k:]
-    into the corner a, the row r, the column c and the block S = A[k+1:, k+1:]
-    (of size m), its characteristic polynomial is the Toeplitz product of
-    (1, -a, -r.c, -r.S c, ..., -r.S^(m-1) c) with the one of S; the powers of
-    S are applied to c one matrix-vector product at a time, over the nonzero
-    entries of each row only, and not at all when r or c is zero.  Every
-    entry of both products is one `sum_of_products`.
+    top defaults to dim.  Works up from the trailing principal submatrices.
+    Splitting A[k:, k:] into the corner a, the row r, the column c and the
+    block S = A[k+1:, k+1:] (of size m), its characteristic polynomial is the
+    Toeplitz product of (1, -a, -r.c, -r.S c, ..., -r.S^(m-1) c) with the one
+    of S.  Coefficient i of it reads entries 0..i of both, so the column stops
+    at index top, and at most top - 2 matrix-vector products apply the powers
+    of S to c, over the nonzero entries of each row only, and none when r or
+    c is zero.  Every entry of both products is one `sum_of_products`.
     """
     dim = len(rows)
+    top = dim if top is None else top
     nonzero = sparse_rows(rows)
-    poly = [ONE, -rows[-1][-1]]
+    poly = [ONE, -rows[-1][-1]][:top + 1]
     for k in range(dim - 2, -1, -1):
         m = dim - k - 1
+        size = min(m + 2, top + 1)
         # r is negated once, so that -r.S^i c needs no negation of its own.
         neg_r = [(j, -e) for j, e in nonzero[k].items() if j > k]
         # vec is indexed by column; its first k + 1 entries are never read.
         vec = [ZERO] * (k + 1) + [row[k] for row in rows[k + 1:]]
-        toeplitz = [ONE, -rows[k][k]] + [ZERO] * m
-        if neg_r and any(vec):
+        toeplitz = ([ONE, -rows[k][k]] + [ZERO] * m)[:size]
+        if size > 2 and neg_r and any(vec):
             block = [[(j, e) for j, e in nonzero[i].items() if j > k]
                      for i in range(k + 1, dim)]
             toeplitz[2] = sum_of_products((x, vec[j]) for j, x in neg_r)
-            for i in range(3, m + 2):
+            for i in range(3, size):
                 vec[k + 1:] = [sum_of_products((x, vec[j]) for j, x in row) for row in block]
                 toeplitz[i] = sum_of_products((x, vec[j]) for j, x in neg_r)
         nonzero_column = [(j, x) for j, x in enumerate(toeplitz) if x]
         poly = [sum_of_products((x, poly[i - j]) for j, x in nonzero_column if 0 <= i - j <= m)
-                for i in range(m + 2)]
+                for i in range(size)]
     return poly
 
 

@@ -391,10 +391,15 @@ def variable(name: str, exponent: int = 1) -> LaurentPoly:
     return LaurentPoly.variable(name, exponent)
 
 
+def _fields_present(monos: Iterable[Mono]) -> list[tuple[str, int]]:
+    """(name, shift) of each variable in any of the monomials, from one OR of m ^ _UNIT."""
+    differs = reduce(or_, (m ^ _UNIT for m in monos), 0)
+    return [(name, s) for name, s in zip(_VAR_NAMES, _SHIFTS) if (differs >> s) & _FIELD]
+
+
 def variables_of(polys: Iterable[LaurentPoly]) -> set[str]:
     """The variables that occur in any of the polynomials, from one pass over their keys."""
-    differs = reduce(or_, (m ^ _UNIT for p in polys for m in p.terms), 0)
-    return {name for name, shift in zip(_VAR_NAMES, _SHIFTS) if (differs >> shift) & _FIELD}
+    return {name for name, _ in _fields_present(m for p in polys for m in p.terms)}
 
 
 def sum_of_products(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
@@ -426,12 +431,13 @@ def sum_of_products(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> Laurent
 def canonical_string(poly: LaurentPoly) -> str:
     if not poly.terms:
         return "0"
+    present = _fields_present(poly.terms)
     parts: list[str] = []
     for i, mono in enumerate(sorted(poly.terms, reverse=True)):
         coeff = poly.terms[mono]
         mag = abs(coeff)
-        factors = [name if exp == 1 else f"{name}^{exp}"
-                   for name, exp in zip(_VAR_NAMES, _exponents(mono)) if exp]
+        factors = [name if exp == 1 else f"{name}^{exp}" for name, shift in present
+                   if (exp := ((mono >> shift) & _FIELD) - _BIAS)]
         if not factors:
             body = str(mag)
         elif mag == 1:

@@ -106,10 +106,10 @@ def test_inverse_word_has_the_barred_invariant():
 
 
 def _berkowitz_cases():
-    """Words at n = 2..5: the empty word, every single letter, all-negative
+    """Words at n = 2..7: the empty word, every single letter, all-negative
     words and random words, with exponent sums of both signs and zero."""
     rng = random.Random(4711)
-    for n, max_len in ((2, 10), (3, 10), (4, 8), (5, 5)):
+    for n, max_len in ((2, 10), (3, 10), (4, 8), (5, 5), (6, 3), (7, 2)):
         yield BraidWord(n, ())
         for i in range(1, n):
             yield BraidWord(n, ((i, 1),))
@@ -123,8 +123,9 @@ def _berkowitz_cases():
 
 
 def test_invariant_equals_the_berkowitz_charpoly():
-    """The invariant is computed from traces and the unitary mirror; here it
-    is compared with RingMatrix.charpoly, which is Berkowitz's algorithm."""
+    """The invariant is computed from a truncated Berkowitz run and the
+    unitary mirror; here it is compared with RingMatrix.charpoly, the full
+    run."""
     signs = set()
     for word in _berkowitz_cases():
         exponent_sum = sum(s for _, s in word.letters)

@@ -5,6 +5,7 @@ import pytest
 
 from braidrep import matrix
 from braidrep.braid import BraidWord
+from braidrep.invariants import charpoly_invariant
 from braidrep.matrix import RingMatrix, SingularMatrixError, sparse_rows
 from braidrep.reps import GroupAlgebraElem, burau, exterior_square_burau, lkb, rep_apply
 from braidrep.ring import ONE, ZERO, LaurentPoly, RatFunc, integer, variable
@@ -194,6 +195,8 @@ def test_ratfunc_det_with_mixed_row_denominators():
 
 
 def test_det_and_charpoly_match_sympy_on_lkb_images():
+    """Also checks the LKB invariant, which shares _berkowitz with
+    RingMatrix.charpoly, against sympy."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(99)
     x = sympy.Symbol("x")
@@ -213,6 +216,7 @@ def test_det_and_charpoly_match_sympy_on_lkb_images():
         for word in words:
             image = rep_apply(rep, word)
             cp, det, dim = image.charpoly(), image.det(), image.dim
+            invariant = charpoly_invariant(n, word).poly
             point = {"q": Fraction(rng.randint(2, 9), rng.randint(1, 5)),
                      "t": Fraction(-rng.randint(2, 9), rng.randint(1, 5))}
             numeric = sympy.Matrix([[rational(e) for e in row]
@@ -222,8 +226,9 @@ def test_det_and_charpoly_match_sympy_on_lkb_images():
             # dim + 1 values of w fixes every coefficient.
             ref = numeric.charpoly(x).as_expr()
             for wv in range(dim + 1):
-                value = cp.evaluate({**point, "w": wv})
-                assert rational(value) == (-1) ** dim * ref.subs(x, wv)
+                expected = (-1) ** dim * ref.subs(x, wv)
+                assert rational(cp.evaluate({**point, "w": wv})) == expected
+                assert rational(invariant.evaluate({**point, "w": wv})) == expected
 
 
 def test_charpoly_goldens():
@@ -340,6 +345,15 @@ def _ref_berkowitz(rows):
     return poly
 
 
+def _assert_berkowitz_matches_reference(rows):
+    """The full run and the run truncated at every top give the reference's
+    coefficients c_0 .. c_top."""
+    ref = _ref_berkowitz(rows)
+    assert matrix._berkowitz(rows) == ref
+    for top in range(len(rows) + 1):
+        assert matrix._berkowitz(rows, top) == ref[:top + 1], top
+
+
 def test_berkowitz_matches_reference_on_word_images(monkeypatch):
     rng = random.Random(13)
     for make in (burau, lkb, exterior_square_burau):
@@ -348,7 +362,7 @@ def test_berkowitz_matches_reference_on_word_images(monkeypatch):
             top = 5 if make is lkb and n == 5 else 8
             for length in (rng.randint(1, top - 1), top):
                 image = rep_apply(make(n), rand_classical_word(rng, n, length))
-                assert matrix._berkowitz(image.rows) == _ref_berkowitz(image.rows)
+                _assert_berkowitz_matches_reference(image.rows)
                 det, inverse = image.det(), image.inverse()
                 with monkeypatch.context() as patch:
                     patch.setattr(matrix, "_berkowitz", _ref_berkowitz)
@@ -370,7 +384,7 @@ def test_berkowitz_matches_reference_on_random_sparse_matrices(seed):
     cancelling = [row[:] for row in rows]
     cancelling[i] = [-x * e for e in rows[j]]
     for variant in (rows, zero_row, zero_column, cancelling):
-        assert matrix._berkowitz(variant) == _ref_berkowitz(variant)
+        _assert_berkowitz_matches_reference(variant)
     assert not matrix._berkowitz(cancelling)[-1]
 
 

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from braidrep.ring import (
+    _VAR_NAMES,
     ONE,
     ZERO,
     LaurentPoly,
     NotDivisibleError,
     ParseError,
     RatFunc,
+    _exponents,
     canonical_string,
     integer,
     parse_poly,
@@ -136,6 +138,49 @@ def test_parse_and_canonical_string():
         parse_poly("q +")
     with pytest.raises(ParseError):
         parse_poly("x1y2")
+
+
+def _ref_canonical_string(poly):
+    """The per-field formatter: all eight exponents of every term, decoded
+    through _exponents."""
+    if not poly.terms:
+        return "0"
+    parts = []
+    for i, mono in enumerate(sorted(poly.terms, reverse=True)):
+        coeff = poly.terms[mono]
+        mag = abs(coeff)
+        factors = [name if exp == 1 else f"{name}^{exp}"
+                   for name, exp in zip(_VAR_NAMES, _exponents(mono)) if exp]
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = str(mag) + "*" + "*".join(factors)
+        if i == 0:
+            parts.append(body if coeff > 0 else "-" + body)
+        else:
+            parts.append((" + " if coeff > 0 else " - ") + body)
+    return "".join(parts)
+
+
+def test_canonical_string_matches_the_per_field_formatter():
+    """Polynomials in all eight variables, with negative exponents, terms of
+    coefficient +-1 and a constant term, some terms missing some variables."""
+    rng = random.Random(1907)
+    seen = set()
+    for _ in range(300):
+        poly = rng.choice((-1, 1, 7)) + rand_poly(rng, names=_VAR_NAMES, terms=rng.randint(1, 4),
+                                                  max_exp=3, max_coeff=1, laurent=True)
+        for _ in range(rng.randint(0, 3)):
+            names = rng.sample(_VAR_NAMES, rng.randint(1, 8))
+            poly = poly + rand_poly(rng, names=names, terms=1, max_exp=3, max_coeff=4, laurent=True)
+        assert canonical_string(poly) == _ref_canonical_string(poly), poly.terms
+        for mono, coeff in poly.terms.items():
+            exps = _exponents(mono)
+            seen.update(name for name, e in zip(_VAR_NAMES, exps) if e < 0)
+            seen.add("constant" if not any(exps) else abs(coeff) == 1)
+    assert seen == {*_VAR_NAMES, "constant", True, False}
 
 
 # Every polynomial printed alongside the constructions this library
