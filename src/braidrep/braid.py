@@ -104,9 +104,9 @@ class BraidWord:
 
 
 def word_image(word: BraidWord, letter_image: Callable[[Letter], T],
-               unit: Callable[[], T]) -> T:
+               unit: Callable[[], T], product: Callable[[T, T], T] = mul) -> T:
     """Product of the letters' images in word order; unit() only for the empty word."""
-    return reduce(mul, map(letter_image, word.letters)) if word.letters else unit()
+    return reduce(product, map(letter_image, word.letters)) if word.letters else unit()
 
 
 def free_reduce(word: BraidWord) -> BraidWord:

@@ -5,9 +5,10 @@ uniformly per matrix.  Coordinates are row vectors: the row indexed by a
 basis vector holds the coefficients of its image, and words of group
 elements map to matrix products in word order.
 
-Every matrix product, here and in the rational solver of reps, is one
-sparse row-wise product (Gustavson, ACM TOMS 4(3), 1978) over each row's
-nonzero entries, for any entry type: LaurentPoly, RatFunc or Fraction.
+Every matrix product, here and in reps (word images, generator inverses,
+tau images and the rational solver), is one sparse row-wise product
+(Gustavson, ACM TOMS 4(3), 1978) over each row's nonzero entries, for any
+entry type: LaurentPoly, RatFunc or Fraction.
 Determinants, characteristic polynomials and inverses come from one
 division-free routine, Berkowitz's algorithm (Inf. Proc. Letters 18, 1984),
 which uses ring operations only; it can stop at any coefficient, as the LKB
@@ -101,6 +102,12 @@ class RingMatrix:
     def zero(cls, dim: int, ring: str = RING_LAURENT) -> RingMatrix:
         return cls([[coerce_entry(ring, 0)] * dim for _ in range(dim)], ring)
 
+    @classmethod
+    def from_sparse(cls, rows: Sequence[Mapping], ring: str) -> RingMatrix:
+        """The matrix with these sparse rows (see sparse_rows) over ring."""
+        zero = coerce_entry(ring, 0)
+        return cls([[row.get(j, zero) for j in range(len(rows))] for row in rows], ring)
+
     # -- structure ------------------------------------------------------------
 
     def __getitem__(self, index: tuple[int, int]):
@@ -166,10 +173,8 @@ class RingMatrix:
     def __mul__(self, other):
         if isinstance(other, RingMatrix):
             a, b = self._check_compatible(other)
-            zero = coerce_entry(a.ring, 0)
-            product = sparse_mul(sparse_rows(a.rows), sparse_rows(b.rows))
-            return RingMatrix([[row.get(j, zero) for j in range(a.dim)] for row in product],
-                              a.ring)
+            return RingMatrix.from_sparse(sparse_mul(sparse_rows(a.rows), sparse_rows(b.rows)),
+                                          a.ring)
         return self.scalar_mul(other)
 
     def __rmul__(self, other):
@@ -293,21 +298,23 @@ def sparse_rows(rows: Sequence[Sequence]) -> list[dict]:
     return [{j: e for j, e in enumerate(row) if e} for row in rows]
 
 
-def sparse_mul(left: Sequence[Mapping], right: Sequence[Mapping]) -> list[dict]:
+def sparse_mul(left: Sequence[Mapping], right: Sequence[Mapping], one=None) -> list[dict]:
     """Sparse rows of the product of two matrices given by their sparse rows.
 
     Gustavson's row-wise product: row i of the result sums x * right[k] over
     the entries (k, x) of left[i], and entries that cancel to zero are
     dropped.  Entries are of any one type with +, * and a truth value:
-    LaurentPoly, RatFunc or Fraction.
+    LaurentPoly, RatFunc or Fraction.  An entry of right that is the object
+    `one` (by identity) contributes x itself, with no product.
     """
     out = []
     for lrow in left:
         acc = {}
         for k, x in lrow.items():
             for j, y in right[k].items():
+                xy = x if y is one else x * y
                 prev = acc.get(j)
-                acc[j] = x * y if prev is None else prev + x * y
+                acc[j] = xy if prev is None else prev + xy
         out.append({j: e for j, e in acc.items() if e})
     return out
 

@@ -11,14 +11,18 @@ Conventions used throughout:
   matrices over the fraction field.
 * The B_n constructors burau, lkb and exterior_square_burau are memoised:
   each is a pure function of its arguments and returns an immutable
-  MatrixRep, so each generator image is inverted once per process.  The
-  SM_n constructors take arbitrary parameters, stay uncached and reuse the
-  cached base with its inverses.
+  MatrixRep, so each generator's inverse is formed once per process, from
+  its minimal polynomial.  The SM_n constructors take arbitrary parameters,
+  stay uncached and reuse the cached base with its inverses and sparse rows.
 * Every SM_n extension is built by one recipe, _extend: over a base's stored
   images S_i and S_i^-1, tau_i maps to a*S_i + b*S_i^-1 + c*I.  burau_ext is
   the case (1 - a, 0, a), lkb_ext the case (u, 0, v), and
   singular_extension_by_affine_combination takes (a, b, c) as given; the
   Birman map tau -> sigma - sigma^-1 is (1, -1, 0).
+* A generator inverse and a tau image are each one _combine over nonzero
+  entries.  rep_apply folds a word over its letters' sparse rows
+  (MatrixRep.letter_rows), copying unit entries instead of multiplying, and
+  makes the product dense once.
 * Elements of an algebra, such as the group algebra of B_n here and the
   Temperley-Lieb algebra in tl, are LinComb instances: sparse linear
   combinations of basis keys, one subclass per algebra.
@@ -34,18 +38,21 @@ the determinant of the local Burau block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from itertools import combinations
 from math import gcd, lcm
 from typing import Callable, Mapping
 
 from .braid import BraidWord, Letter, relation_set, sigma, word_image
 from .garside import NormalForm, nf_inverse, nf_mul, to_normal_form
 from .matrix import RING_LAURENT, RING_RATFUNC, RingMatrix, coerce_entry, sparse_mul, sparse_rows
-from .ring import LaurentPoly, RatFunc, integer, parse_poly, variable
+from .ring import ONE, ZERO, LaurentPoly, RatFunc, integer, parse_poly, variable
 
 Param = LaurentPoly | Fraction | int | str | None
+# The unit entry of each ring's sparse rows, one shared object: sparse_mul tests it by identity.
+_ONES = {RING_LAURENT: ONE, RING_RATFUNC: RatFunc(ONE)}
 
 
 class DegeneratePointError(ValueError):
@@ -82,6 +89,7 @@ class MatrixRep:
     sigma_images: tuple[RingMatrix, ...]
     sigma_inv_images: tuple[RingMatrix, ...]
     tau_images: tuple[RingMatrix, ...] | None = None
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def has_tau(self) -> bool:
@@ -106,11 +114,46 @@ class MatrixRep:
             return self.sigma_inv_images[i - 1]
         return self.tau_image(i)
 
+    def letter_rows(self, letter: tuple[int, int]) -> list[dict]:
+        """The letter's image as sparse rows, built once per representation."""
+        rows = self._rows.get(letter)
+        if rows is None:
+            rows = self._rows[letter] = _unit_rows(self.letter_image(letter), _ONES[self.ring])
+        return rows
 
-def _finish_rep(name: str, n: int, sigmas: list[RingMatrix]) -> MatrixRep:
-    """A representation of B_n over the Laurent ring from its generator images."""
-    inverses = tuple(m.inverse().as_laurent() for m in sigmas)
-    return MatrixRep(name, n, sigmas[0].dim, RING_LAURENT, tuple(sigmas), inverses)
+
+def _unit_rows(m: RingMatrix, one) -> list[dict]:
+    """m's sparse rows, each entry equal to 1 replaced by the shared `one`."""
+    return [{j: one if e.is_one() else e for j, e in row.items()} for row in sparse_rows(m.rows)]
+
+
+def _combine(dim: int, ring: str, terms, one) -> RingMatrix:
+    """The sum of x * M over the (scalar x, sparse rows of M) terms, over ring: one
+    sparse_mul per row, over nonzero entries only, where an entry `one` copies x."""
+    scalars = {k: s for k, (x, _) in enumerate(terms) if (s := coerce_entry(ring, x))}
+    rows = [sparse_mul([scalars], [m[i] for _, m in terms], one)[0] for i in range(dim)]
+    return RingMatrix.from_sparse(rows, ring)
+
+
+def _finish_rep(name: str, n: int, sigmas: list[RingMatrix], roots) -> MatrixRep:
+    """A representation of B_n over the Laurent ring from its generator images.
+
+    Each S is a root of prod (x - r) = x^d + ... + p_1 x + p_0, p_0 a unit, so
+    S^-1 = -(S^(d-1) + p_(d-1) S^(d-2) + ... + p_1) / p_0 inverts no matrix.
+    """
+    p = [ONE]
+    for r in roots:
+        p = [x - r * y for x, y in zip([ZERO, *p], [*p, ZERO])]
+    scale = -RatFunc(ONE, p[0]).as_laurent()
+    dim = sigmas[0].dim
+    inverses = []
+    for s in sigmas:
+        powers = [[{i: ONE} for i in range(dim)], _unit_rows(s, ONE)]
+        while len(powers) < len(roots):
+            powers.append(sparse_mul(powers[-1], powers[1], ONE))
+        terms = [(scale * c, m) for c, m in zip(p[1:], powers)]
+        inverses.append(_combine(dim, RING_LAURENT, terms, ONE))
+    return MatrixRep(name, n, dim, RING_LAURENT, tuple(sigmas), tuple(inverses))
 
 
 def _extend(base: MatrixRep, name: str, a, b, c) -> MatrixRep:
@@ -120,18 +163,18 @@ def _extend(base: MatrixRep, name: str, a, b, c) -> MatrixRep:
     rational coefficient puts the taus over the fraction field, and the
     crossing images move there too.
     """
-    ident = RingMatrix.identity(base.dim, base.ring)
-    taus = []
-    for s, s_inv in zip(base.sigma_images, base.sigma_inv_images):
-        terms = [m.scalar_mul(x) for m, x in ((s, a), (s_inv, b), (ident, c)) if x]
-        taus.append(sum(terms[1:], terms[0]) if terms else RingMatrix.zero(base.dim, base.ring))
-    ring = RING_RATFUNC if any(m.ring == RING_RATFUNC for m in taus) else RING_LAURENT
-
-    def convert(images):
-        return tuple(m.to_ratfunc() if ring == RING_RATFUNC else m for m in images)
-
-    return MatrixRep(name, base.n, base.dim, ring, convert(base.sigma_images),
-                     convert(base.sigma_inv_images), convert(taus))
+    rational = any(x and isinstance(x, (RatFunc, Fraction)) for x in (a, b, c))
+    ring = RING_RATFUNC if rational else base.ring
+    one = _ONES[base.ring]
+    ident = [{i: one} for i in range(base.dim)]
+    taus = tuple(_combine(base.dim, ring, ((a, base.letter_rows((i, 1))),
+                                           (b, base.letter_rows((i, -1))), (c, ident)), one)
+                 for i in range(1, base.n))
+    images = base.sigma_images, base.sigma_inv_images
+    if ring != base.ring:
+        images = [tuple(_combine(base.dim, ring, ((1, base.letter_rows((i, s))),), one)
+                        for i in range(1, base.n)) for s in (1, -1)]
+    return MatrixRep(name, base.n, base.dim, ring, *images, taus)
 
 
 # -- Burau ---------------------------------------------------------------------
@@ -150,7 +193,7 @@ def burau(n: int, var: str = "t") -> MatrixRep:
         rows[i][i - 1] = integer(1)
         rows[i][i] = integer(0)
         sigmas.append(RingMatrix(rows, RING_LAURENT))
-    return _finish_rep(f"burau[{var}]", n, sigmas)
+    return _finish_rep(f"burau[{var}]", n, sigmas, (ONE, -t))
 
 
 def burau_ext(n: int, a: Param = None) -> MatrixRep:
@@ -205,7 +248,8 @@ def lkb(n: int) -> MatrixRep:
     if n < 2:
         raise ValueError("strand count must be at least 2")
     sigmas = [RingMatrix(_lkb_sigma_rows(n, i)) for i in range(1, n)]
-    return _finish_rep("lkb", n, sigmas)
+    q, t = variable("q"), variable("t")
+    return _finish_rep("lkb", n, sigmas, (ONE, -q, t * q ** 2))
 
 
 def lkb_ext(n: int, u: Param = None, v: Param = None) -> MatrixRep:
@@ -229,18 +273,19 @@ def exterior_square_burau(n: int) -> MatrixRep:
 
 
 def wedge_square(m: RingMatrix) -> RingMatrix:
-    """Functorial exterior square: entries are the 2x2 minors on the pair basis."""
-    n = m.dim
+    """Functorial exterior square: entries are the 2x2 minors on the pair basis.
+
+    Only minors on two columns where row a or row b is nonzero are formed; the rest vanish.
+    """
     zero = coerce_entry(m.ring, 0)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {pair: k for k, pair in enumerate(combinations(range(m.dim), 2))}
+    sparse = sparse_rows(m.rows)
     rows = []
-    for (a, b) in pairs:
-        row = []
-        for (c, d) in pairs:
-            minor = m.rows[a][c] * m.rows[b][d] - m.rows[a][d] * m.rows[b][c]
-            row.append(minor if minor else zero)
-        rows.append(row)
-    return RingMatrix(rows, m.ring)
+    for a, b in index:
+        x, y = sparse[a], sparse[b]
+        rows.append({index[c, d]: x.get(c, zero) * y.get(d, zero) - x.get(d, zero) * y.get(c, zero)
+                     for c, d in combinations(sorted(x.keys() | y.keys()), 2)})
+    return RingMatrix.from_sparse(rows, m.ring)
 
 
 # -- applying representations and verifying relations ------------------------------
@@ -249,7 +294,10 @@ def rep_apply(rep: MatrixRep, word: BraidWord) -> RingMatrix:
     """Image of a word: the product of generator images in word order."""
     if word.n != rep.n:
         raise ValueError(f"word is on {word.n} strands, representation on {rep.n}")
-    return word_image(word, rep.letter_image, lambda: RingMatrix.identity(rep.dim, rep.ring))
+    one = _ONES[rep.ring]
+    rows = word_image(word, rep.letter_rows, lambda: [{i: one} for i in range(rep.dim)],
+                      partial(sparse_mul, one=one))
+    return RingMatrix.from_sparse(rows, rep.ring)
 
 
 @dataclass(frozen=True)

@@ -138,9 +138,6 @@ class LaurentPoly:
             raise ValueError("polynomial is not constant")
         return self.terms.get(_UNIT, 0)
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def exponent_terms(self) -> dict[tuple[int, ...], int]:
         """The terms keyed by exponent tuples in variable order, trailing zeros trimmed."""
         out = {}

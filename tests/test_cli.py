@@ -1,7 +1,15 @@
 import hashlib
+import importlib.util
+import io
 import json
 import random
+import shlex
+import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -331,6 +339,54 @@ def test_pinned_output_bytes(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+# The first 12 rounds of seed 1 of each benchmark workload, run through main:
+# (first 16 hex digits of one SHA-256 over repr((argv, stdout, exit code)) of
+# every operation, the operation count, and the first 16 hex digits of the
+# SHA-256 of repr() of the list of argv tuples).  The argv come from
+# perfbench/workloads.py itself, read only: a committed copy would be 125 kB,
+# and the argv digest tells a changed workload stream apart from changed
+# output.  workload_op_digests.json holds the first 8 hex digits of each
+# operation's own SHA-256, which name the first operation that differs.
+# All of them were computed before generator images became sparse.
+WORKLOAD_DIGESTS = {
+    "markov": ("a7e4937fbf684878", 96, "63e9353d4fa4b309"),
+    "word-problem": ("3bef85cc4aaa2227", 384, "c1641fcfcb742f0d"),
+    "singular": ("30a2f7e90fbaac2b", 252, "1ead09ada9217fc5"),
+}
+TESTS = Path(__file__).resolve().parent
+
+
+@cache
+def _benchmark_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_workloads", TESTS.parent / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_DIGESTS))
+def test_benchmark_workload_output_is_pinned(name):
+    workloads = _benchmark_workloads()
+    ops = [op.argv for rnd in islice(workloads.rounds(workloads.WORKLOADS[name], 1), 12)
+           for op in rnd.ops]
+    digest, count, argv_digest = WORKLOAD_DIGESTS[name]
+    assert (len(ops), hashlib.sha256(repr(ops).encode()).hexdigest()[:16]) == \
+        (count, argv_digest), "perfbench/workloads.py draws other operations now"
+    expected = " ".join(json.loads((TESTS / "workload_op_digests.json").read_text())[name]).split()
+    total, first_diff = hashlib.sha256(), None
+    for argv, want in zip(ops, expected):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(list(argv))
+        record = repr((argv, out.getvalue(), code)).encode()
+        total.update(record)
+        if first_diff is None and hashlib.sha256(record).hexdigest()[:8] != want:
+            first_diff = shlex.join(argv)
+    assert total.hexdigest()[:16] == digest, f"first differing operation: braidrep {first_diff}"
 
 
 def test_charpoly_at_nine_strands_pinned_and_fast(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -10,6 +11,7 @@ from braidrep.reps import (
     DegeneratePointError,
     GroupAlgebraElem,
     MatrixRep,
+    _resolve_param,
     birman_image,
     burau,
     burau_ext,
@@ -26,8 +28,8 @@ from braidrep.reps import (
     verify_relations,
     wedge_square,
 )
-from braidrep.ring import RatFunc, variable
-from conftest import rand_classical_word
+from braidrep.ring import RatFunc, integer, variable
+from conftest import rand_classical_word, rand_poly
 
 q, t, u, v, a = (variable(x) for x in "qtuva")
 B = BraidWord.parse
@@ -277,6 +279,8 @@ def inverse_calls(monkeypatch):
 
 
 def test_each_generator_inverted_once(inverse_calls):
+    """A cold build forms each generator's inverse once, from its minimal
+    polynomial, so RingMatrix.inverse is never called."""
     calls = inverse_calls
     for build in (lkb, lkb_ext, exterior_square_burau, burau_ext,
                   lambda n: singular_extension_by_affine_combination(burau(n))):
@@ -284,7 +288,7 @@ def test_each_generator_inverted_once(inverse_calls):
             cached.cache_clear()
         calls.clear()
         build(4)
-        assert len(calls) == 3
+        assert calls == []
 
 
 @pytest.mark.parametrize("build", [lkb, lkb_ext])
@@ -293,6 +297,80 @@ def test_rebuild_inverts_nothing(inverse_calls, build):
     inverse_calls.clear()
     build(4)
     assert inverse_calls == []
+
+
+def test_stored_inverses_match_berkowitz():
+    """Each inverse from the minimal polynomial equals the Berkowitz and
+    Cayley-Hamilton inverse of its generator, over the Laurent ring."""
+    for n in range(2, 8):
+        for rep in (burau(n), burau(n, "q"), lkb(n)):
+            one = RingMatrix.identity(rep.dim)
+            for i in range(1, n):
+                s, s_inv = rep.sigma_image(i), rep.sigma_inv_image(i)
+                assert s_inv.ring == "laurent"
+                assert s_inv == s.inverse().as_laurent(), (rep.name, n, i)
+                assert s * s_inv == one, (rep.name, n, i)
+
+
+def _dense_extension(base, a, b, c) -> list[RingMatrix]:
+    """The reference taus: dense a*S + b*S^-1 + c*I, zero coefficients left out."""
+    ident = RingMatrix.identity(base.dim, base.ring)
+    taus = []
+    for s, s_inv in zip(base.sigma_images, base.sigma_inv_images):
+        terms = [m.scalar_mul(x) for m, x in ((s, a), (s_inv, b), (ident, c)) if x]
+        taus.append(sum(terms[1:], terms[0]) if terms else RingMatrix.zero(base.dim, base.ring))
+    return taus
+
+
+@pytest.mark.parametrize("coeffs", [
+    (None, None, None), (1, -1, 0), (0, 0, 0), (0, Fraction(2, 3), 0), (Fraction(-1, 2), 0, 3),
+    ("u", 0, Fraction(1, 2)), (2, "v", -3), (Fraction(4), 1, Fraction(0)),
+])
+def test_extension_matches_the_dense_affine_formula(coeffs):
+    """Same entries, text and ring tag as the dense formula, also on a base
+    over the fraction field; the crossing images keep their values."""
+    a, b, c = (_resolve_param(x, name) for x, name in zip(coeffs, "abc"))
+    for n in (2, 3, 4):
+        for base in (burau(n), lkb(n), exterior_square_burau(n), lkb_ext(n, Fraction(1, 2))):
+            rep = singular_extension_by_affine_combination(base, *coeffs)
+            expected = _dense_extension(base, a, b, c)
+            assert rep.ring == expected[0].ring
+            assert [m.to_json_dict() for m in rep.tau_images] == \
+                [m.to_json_dict() for m in expected], (base.name, n)
+            assert rep.sigma_images == base.sigma_images
+            assert rep.sigma_inv_images == base.sigma_inv_images
+            assert all(m.ring == rep.ring for m in rep.sigma_images + rep.sigma_inv_images)
+
+
+def _dense_fold(rep, word) -> RingMatrix:
+    """The reference rep_apply: RingMatrix products of the letter images in word order."""
+    return reduce(RingMatrix.__mul__, map(rep.letter_image, word.letters),
+                  RingMatrix.identity(rep.dim, rep.ring))
+
+
+@pytest.mark.parametrize("build", [
+    burau, lkb, exterior_square_burau, burau_ext, lkb_ext,
+    lambda n: burau_ext(n, Fraction(1, 2)), lambda n: lkb_ext(n, Fraction(1, 2)),
+    lambda n: lkb_ext(n, 0, 0),
+], ids=["burau", "lkb", "wedge-burau", "burau-ext", "lkb-ext", "burau-ext-half",
+        "lkb-ext-half", "lkb-ext-zero"])
+def test_rep_apply_matches_the_dense_fold(build):
+    """Words with singular letters, and words w w^-1 and w tau_1 w^-1 whose
+    entries cancel, give the dense fold's matrix, text and ring tag."""
+    rng = random.Random(2101)
+    for n in range(2, 6):
+        rep = build(n)
+        signs = (1, -1, 0) if rep.has_tau else (1, -1)
+        words = [BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice(signs))
+                                    for _ in range(rng.randint(0, 6)))) for _ in range(4)]
+        for _ in range(2):
+            w = rand_classical_word(rng, n, rng.randint(1, 4))
+            words.append(w * w.inverse())
+            if rep.has_tau:
+                words.append(w * B(n, "t1") * w.inverse())
+        for word in words:
+            got, want = rep_apply(rep, word), _dense_fold(rep, word)
+            assert got.to_json_dict() == want.to_json_dict(), (rep.name, n, word.text())
 
 
 def test_rep_apply_homomorphism():
@@ -399,6 +477,36 @@ def test_wedge_generators_match_the_case_table():
         for i in range(1, n):
             assert rep.sigma_image(i) == _case_table_wedge(n, i)
             assert rep.sigma_image(i) * rep.sigma_inv_image(i) == identity
+
+
+def _all_minors(m: RingMatrix) -> RingMatrix:
+    """The reference exterior square: every 2x2 minor on the pair basis."""
+    pairs = [(i, j) for i in range(m.dim) for j in range(i + 1, m.dim)]
+    return RingMatrix([[m[a, c] * m[b, d] - m[a, d] * m[b, c] for (c, d) in pairs]
+                       for (a, b) in pairs], m.ring)
+
+
+def test_wedge_square_matches_every_minor():
+    """Only the minors on nonzero columns are formed; on generator and word
+    images and on sparse matrices with zero and unit rows they give the
+    matrix of all minors, over both rings."""
+    rng = random.Random(2102)
+    cases = []
+    for n in (2, 3, 4, 5):
+        base = burau(n, "q")
+        cases += base.sigma_images + base.sigma_inv_images
+        cases += [rep_apply(base, rand_classical_word(rng, n, 4)) for _ in range(3)]
+        for _ in range(4):
+            rows = [[rand_poly(rng, terms=2) if rng.random() < 0.3 else integer(0)
+                     for _ in range(n)] for _ in range(n)]
+            unit, zero = rng.sample(range(n), 2)
+            rows[unit] = [integer(int(j == unit)) for j in range(n)]
+            rows[zero] = [integer(0)] * n
+            cases.append(RingMatrix(rows))
+    cases += [m.to_ratfunc().scalar_mul(Fraction(1, 3)) for m in cases[-4:]]
+    for m in cases:
+        got = wedge_square(m)
+        assert got.to_json_dict() == _all_minors(m).to_json_dict()
 
 
 def test_wedge_relations():
