@@ -170,11 +170,14 @@ def _extend(base: MatrixRep, name: str, a, b, c) -> MatrixRep:
     taus = tuple(_combine(base.dim, ring, ((a, base.letter_rows((i, 1))),
                                            (b, base.letter_rows((i, -1))), (c, ident)), one)
                  for i in range(1, base.n))
-    images = base.sigma_images, base.sigma_inv_images
     if ring != base.ring:
         images = [tuple(_combine(base.dim, ring, ((1, base.letter_rows((i, s))),), one)
                         for i in range(1, base.n)) for s in (1, -1)]
-    return MatrixRep(name, base.n, base.dim, ring, *images, taus)
+        return MatrixRep(name, base.n, base.dim, ring, *images, taus)
+    rep = MatrixRep(name, base.n, base.dim, ring, base.sigma_images, base.sigma_inv_images, taus)
+    # Same images over the same ring: share the base's crossing rows, which no reader mutates.
+    rep._rows.update({(i, s): base.letter_rows((i, s)) for i in range(1, base.n) for s in (1, -1)})
+    return rep
 
 
 # -- Burau ---------------------------------------------------------------------

@@ -314,8 +314,8 @@ def test_rational_input_at_the_digit_limit_accepted(capsys, value, plain):
 
 
 # SHA-256 prefixes of stdout for the paths of integer-denominator fractions,
-# relation checks, integer constraint rows and the exterior square of Burau;
-# every one exits 0.
+# relation checks, integer constraint rows, the exterior square of Burau, and
+# the normal form and Birman image at large n; every one exits 0.
 PINNED_OUTPUTS = [
     (("rep", "--rep", "lkb-ext", "--n", "4", "--word", "t1 -2 t3 1 t2",
       "--param", "u=1/2", "--param", "v=-3/5"), "43b988260d831bcd"),
@@ -331,6 +331,8 @@ PINNED_OUTPUTS = [
     (("defect", "--n", "6", "--word", "1 -2 3 -4 5"), "575e9095a4b4f3cc"),
     (("defect", "--n", "9", "--word", "-8 1"), "6fc8eb6856e93e89"),
     (("verify", "--rep", "wedge-burau", "--n", "6", "--out", "json"), "60d966214e0253e0"),
+    (("nf", "--n", "1000", "--word", "1 2 -1"), "ace4acc1b29c8a34"),
+    (("birman", "--n", "200", "--word", "1 -2 t3"), "35fca96ead60eda0"),
 ]
 
 
@@ -459,7 +461,8 @@ def test_nf_strand_count_unbounded(capsys):
 def test_nf_of_a_long_word_pinned_and_fast(capsys):
     """A 5000-letter word at n = 8 recurs to the same factor pairs often; its
     normal form took about 3.3 s on a 2-core x86-64 host while every pair was
-    left-weighted anew, and about 0.35 s with a recurring pair's result kept."""
+    left-weighted anew, about 0.33 s with a recurring pair's result kept, and
+    about 0.25 s with each pair left-weighted in one forward scan (best of 7)."""
     word = reduced_classical_word(random.Random(5000), 8, 5000)
     start = time.perf_counter()
     code, out, _ = run(capsys, "nf", "--n", "8", "--out", "json", "--word", word.text())

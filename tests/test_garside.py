@@ -7,22 +7,51 @@ from braidrep import garside
 from braidrep.braid import BraidWord, relation_set
 from braidrep.garside import (
     NormalForm,
-    finishing_set,
-    is_left_weighted,
+    Perm,
     nf_equal,
     nf_inverse,
     nf_mul,
     perm_delta,
+    perm_identity,
     perm_inverse,
     perm_mult,
-    perm_transposition,
-    starting_set,
     to_normal_form,
 )
 from braidrep.reps import lkb, rep_apply
 from conftest import rand_classical_word, reduced_classical_word as _reduced_word
 
 B = BraidWord.parse
+
+
+# -- descent sets and the defining condition, checked directly -------------------
+
+
+def perm_transposition(n: int, i: int) -> Perm:
+    """The permutation of sigma_i (1-based generator index)."""
+    p = list(range(n))
+    p[i - 1], p[i] = p[i], p[i - 1]
+    return tuple(p)
+
+
+def starting_set(p: Perm) -> frozenset[int]:
+    """Generators sigma_i that left-divide the permutation braid of p."""
+    return frozenset(i + 1 for i in range(len(p) - 1) if p[i] > p[i + 1])
+
+
+def finishing_set(p: Perm) -> frozenset[int]:
+    """Generators sigma_i that right-divide the permutation braid of p."""
+    return starting_set(perm_inverse(p))
+
+
+def canonical_length(x: NormalForm) -> int:
+    return len(x.factors)
+
+
+def is_left_weighted(x: NormalForm) -> bool:
+    """Check the defining condition on every adjacent factor pair."""
+    ident, delta = perm_identity(x.n), perm_delta(x.n)
+    return all(f != ident and f != delta for f in x.factors) and all(
+        starting_set(b) <= finishing_set(a) for a, b in zip(x.factors, x.factors[1:]))
 
 
 def test_trivial_words():
@@ -66,7 +95,7 @@ def test_left_weightedness_of_produced_forms():
     for _ in range(150):
         n = rng.randint(2, 5)
         nf = to_normal_form(rand_classical_word(rng, n, rng.randint(0, 10)))
-        if nf.canonical_length() >= 2:
+        if canonical_length(nf) >= 2:
             assert is_left_weighted(nf)
 
 
@@ -209,6 +238,53 @@ def test_agrees_with_fixpoint_reference():
             assert ny == _ref_normal_form(y), (n, y.text())
             assert nf_mul(nx, ny) == _ref_mul(nx, ny), (n, x.text(), y.text())
             assert nf_inverse(nx) == _ref_inverse(nx), (n, x.text())
+
+
+# -- the left-weighting kernel against the reference slide loop ------------------
+
+
+def _kernel_agrees(a, b):
+    """_left_weight_pair(a, b) is the reference's pair, or None where the
+    reference slides nothing."""
+    ref_a, ref_b, moved = _ref_left_weight_pair(a, b)
+    got = garside._left_weight_pair(a, b)
+    assert got == ((ref_a, ref_b) if moved else None), (a, b)
+    return got
+
+
+def test_left_weight_pair_matches_reference():
+    rng = random.Random(2207)
+    outcomes = Counter()
+    for n in range(2, 10):
+        ident, delta = perm_identity(n), perm_delta(n)
+        for _ in range(150):
+            a, b = tuple(rng.sample(range(n), n)), tuple(rng.sample(range(n), n))
+            got = _kernel_agrees(a, b)
+            outcomes[got is None] += 1
+            if got is not None:
+                assert _kernel_agrees(*got) is None  # a left-weighted pair stays put
+            _kernel_agrees(_ref_flip(a), _ref_flip(b))
+            _kernel_agrees(ident, b)
+            _kernel_agrees(a, ident)
+            _kernel_agrees(delta, b)
+            _kernel_agrees(a, delta)
+        for i in range(1, n):
+            near_delta = perm_mult(delta, perm_transposition(n, i))  # Delta sigma_i^-1
+            for j in range(1, n):
+                s_j = perm_transposition(n, j)
+                _kernel_agrees(s_j, near_delta)
+                _kernel_agrees(near_delta, s_j)
+                _kernel_agrees(near_delta, _ref_flip(near_delta))
+    assert outcomes[True] and outcomes[False]
+
+
+@pytest.mark.parametrize("n,i,j", [(20, 1, 3), (20, 10, 19), (31, 30, 1), (40, 7, 22)])
+def test_left_weight_pair_cascades_at_large_n(n, i, j):
+    """sigma_j against Delta sigma_i^-1: all but at most one crossing of the
+    second factor slides into the first, O(n^2) slides that keep stepping back."""
+    near_delta = perm_mult(perm_delta(n), perm_transposition(n, i))
+    a, b = _kernel_agrees(perm_transposition(n, j), near_delta)
+    assert len(starting_set(b)) <= 1 and len(finishing_set(a)) >= n - 2
 
 
 # -- simple runs: letters enter the product one maximal simple run at a time ----
@@ -379,5 +455,5 @@ def test_round_trip_through_expanded_word():
     rng = random.Random(88)
     for _ in range(4):
         nf = to_normal_form(rand_classical_word(rng, 8, 200))
-        assert nf.canonical_length() > 10
+        assert canonical_length(nf) > 10
         assert to_normal_form(_expand(nf)) == nf

@@ -299,6 +299,15 @@ def test_rebuild_inverts_nothing(inverse_calls, build):
     assert inverse_calls == []
 
 
+def test_extension_shares_its_base_crossing_rows():
+    """Over the base's ring an extension reuses the base's sparse crossing rows;
+    a rational parameter moves the crossings to the fraction field, so not there."""
+    for letter in ((1, 1), (3, -1)):
+        assert lkb_ext(4).letter_rows(letter) is lkb(4).letter_rows(letter)
+        assert burau_ext(4).letter_rows(letter) is burau(4, "t").letter_rows(letter)
+        assert lkb_ext(4, Fraction(1, 2)).letter_rows(letter) is not lkb(4).letter_rows(letter)
+
+
 def test_stored_inverses_match_berkowitz():
     """Each inverse from the minimal polynomial equals the Berkowitz and
     Cayley-Hamilton inverse of its generator, over the Laurent ring."""
