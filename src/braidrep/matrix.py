@@ -12,13 +12,16 @@ entry type: LaurentPoly, RatFunc or Fraction.
 Determinants, characteristic polynomials and inverses come from one
 division-free routine, Berkowitz's algorithm (Inf. Proc. Letters 18, 1984),
 which uses ring operations only; it can stop at any coefficient, as the LKB
-invariant does halfway.  Its one sum-of-products loop is
-`ring.sum_of_products`: every entry of its matrix-vector products and of its
-Toeplitz step is one call, with all the term products in one accumulator and
-no polynomial built per product.  The inverse follows from the same
-coefficients by Cayley-Hamilton.  Over the fraction field each row is first
-scaled to polynomial entries by a common denominator, and the denominators
-are divided out once at the end.
+invariant does halfway.  It reads sparse rows, as reps.rep_rows returns them,
+so a word's image reaches it without being made dense, and it keeps its
+vectors as dicts over their nonzero entries.  Its one term-product loop is
+`ring.add_products`: every entry of its matrix-vector products and of its
+Toeplitz step is accumulated in one dict, with no polynomial built per
+product.  The inverse follows from the same coefficients by
+Cayley-Hamilton.  Over the fraction field each row is first scaled to
+polynomial entries by a common denominator, and the denominators are
+divided out once at the end.  A RingMatrix is dense; from_sparse builds one
+from sparse rows where the API returns a matrix.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from .ring import (
     RatFunc,
     _coerce_poly,
     _coerce_ratfunc,
+    add_products,
+    finish_sum,
     parse_poly,
     parse_ratfunc,
     sum_of_products,
@@ -190,10 +195,11 @@ class RingMatrix:
 
     def det(self):
         """LaurentPoly over the Laurent ring, RatFunc over the fraction field."""
+        rows = sparse_rows(self.rows)
         if self.ring == RING_LAURENT:
-            return _det_laurent(self.rows)
+            return _det_laurent(rows)
         # det(D*A) = det(D) * det(A) for the diagonal row scaling D.
-        rows, dens = _scale_rows(self.rows)
+        rows, dens = _scale_rows(rows)
         return RatFunc(_det_laurent(rows), math.prod(dens, start=ONE))
 
     def inverse(self) -> RingMatrix:
@@ -204,17 +210,17 @@ class RingMatrix:
         rule.  Over the fraction field this runs on A' = D*A, and
         A^-1 = A'^-1 * D.
         """
+        a = sparse_rows(self.rows)
         if self.ring == RING_LAURENT:
-            rows, dens = self.rows, [ONE] * self.dim
+            dens = [ONE] * self.dim
         else:
-            rows, dens = _scale_rows(self.rows)
-        coeffs = _berkowitz(rows)
+            a, dens = _scale_rows(a)
+        coeffs = _berkowitz(a)
         last = coeffs[-1]
         if not last:
             raise SingularMatrixError("matrix is singular")
         # Sparse rows of B, starting from c_0 * I = I.
         b = [{i: ONE} for i in range(self.dim)]
-        a = sparse_rows(rows)
         for c in coeffs[1:-1]:
             b = sparse_mul(a, b)
             for i, row in enumerate(b):
@@ -236,7 +242,7 @@ class RingMatrix:
             raise ValueError("matrix entries already involve 'w'")
         dim = self.dim
         total = sum_of_products((c, LaurentPoly.variable("w", dim - k))
-                                for k, c in enumerate(_berkowitz(self.rows)))
+                                for k, c in enumerate(_berkowitz(sparse_rows(self.rows))))
         return -total if dim % 2 else total
 
     def evaluate(self, point: Mapping[str, Fraction | int]) -> tuple[tuple[Fraction, ...], ...]:
@@ -275,8 +281,8 @@ class RingMatrix:
         return f"RingMatrix(dim={self.dim}, ring={self.ring!r})"
 
 
-def _scale_rows(rows: Sequence[Sequence[RatFunc]]) -> tuple[list[list[LaurentPoly]], list[LaurentPoly]]:
-    """Rows of D*A with polynomial entries, and the diagonal of D.
+def _scale_rows(rows: Sequence[Mapping[int, RatFunc]]) -> tuple[list[dict], list[LaurentPoly]]:
+    """Sparse rows of D*A with polynomial entries, and the diagonal of D.
 
     Each row is scaled by the product of its entries' denominators,
     skipping one that already divides the product so far.
@@ -284,11 +290,11 @@ def _scale_rows(rows: Sequence[Sequence[RatFunc]]) -> tuple[list[list[LaurentPol
     scaled, dens = [], []
     for row in rows:
         den = ONE
-        for e in row:
+        for e in row.values():
             if not (e.den.is_one() or e.den.divides(den)):
                 den = den * e.den
-        scaled.append([e.num * (den if e.den.is_one() else den.exact_div(e.den))
-                       for e in row])
+        scaled.append({j: e.num * (den if e.den.is_one() else den.exact_div(e.den))
+                       for j, e in row.items()})
         dens.append(den)
     return scaled, dens
 
@@ -319,43 +325,61 @@ def sparse_mul(left: Sequence[Mapping], right: Sequence[Mapping], one=None) -> l
     return out
 
 
-def _berkowitz(rows: Sequence[Sequence[LaurentPoly]], top: int | None = None) -> list[LaurentPoly]:
+def _berkowitz(rows: Sequence[Mapping[int, LaurentPoly]],
+               top: int | None = None) -> list[LaurentPoly]:
     """Coefficients c_0 = 1, c_1, ..., c_top of det(x*I - A) = sum c_k x^(dim-k).
 
+    A is given by its sparse rows (see sparse_rows), which are only read.
     top defaults to dim.  Works up from the trailing principal submatrices.
     Splitting A[k:, k:] into the corner a, the row r, the column c and the
     block S = A[k+1:, k+1:] (of size m), its characteristic polynomial is the
     Toeplitz product of (1, -a, -r.c, -r.S c, ..., -r.S^(m-1) c) with the one
     of S.  Coefficient i of it reads entries 0..i of both, so the column stops
     at index top, and at most top - 2 matrix-vector products apply the powers
-    of S to c, over the nonzero entries of each row only, and none when r or
-    c is zero.  Every entry of both products is one `sum_of_products`.
+    of S to c.  c and each S^i c are dicts over their nonzero entries, so a
+    product reads only the entries where both factors are nonzero, and none
+    is formed once r or S^i c is zero.  Every entry of both products is
+    accumulated in one dict (ring.add_products); the Toeplitz product adds the
+    terms met with the leading 1 of either factor as they are.
     """
     dim = len(rows)
     top = dim if top is None else top
-    nonzero = sparse_rows(rows)
-    poly = [ONE, -rows[-1][-1]][:top + 1]
+    poly = [ONE, -rows[-1].get(dim - 1, ZERO)][:top + 1]
     for k in range(dim - 2, -1, -1):
         m = dim - k - 1
         size = min(m + 2, top + 1)
         # r is negated once, so that -r.S^i c needs no negation of its own.
-        neg_r = [(j, -e) for j, e in nonzero[k].items() if j > k]
-        # vec is indexed by column; its first k + 1 entries are never read.
-        vec = [ZERO] * (k + 1) + [row[k] for row in rows[k + 1:]]
-        toeplitz = ([ONE, -rows[k][k]] + [ZERO] * m)[:size]
-        if size > 2 and neg_r and any(vec):
-            block = [[(j, e) for j, e in nonzero[i].items() if j > k]
-                     for i in range(k + 1, dim)]
-            toeplitz[2] = sum_of_products((x, vec[j]) for j, x in neg_r)
+        neg_r = [(j, -e) for j, e in rows[k].items() if j > k]
+        vec = {i: e for i in range(k + 1, dim) if (e := rows[i].get(k))}
+        toeplitz = ([ONE, -rows[k].get(k, ZERO)] + [ZERO] * m)[:size]
+        if size > 2 and neg_r and vec:
+            block = [(i, row) for i in range(k + 1, dim)
+                     if (row := [(j, e) for j, e in rows[i].items() if j > k])]
+            toeplitz[2] = _dot(neg_r, vec)
             for i in range(3, size):
-                vec[k + 1:] = [sum_of_products((x, vec[j]) for j, x in row) for row in block]
-                toeplitz[i] = sum_of_products((x, vec[j]) for j, x in neg_r)
-        nonzero_column = [(j, x) for j, x in enumerate(toeplitz) if x]
-        poly = [sum_of_products((x, poly[i - j]) for j, x in nonzero_column if 0 <= i - j <= m)
-                for i in range(size)]
+                vec = {r: e for r, row in block if (e := _dot(row, vec))}
+                if not vec:
+                    break
+                toeplitz[i] = _dot(neg_r, vec)
+        nonzero_column = [(j, x) for j, x in enumerate(toeplitz) if j and x]
+        new = [ONE]
+        for i in range(1, size):
+            # The terms of 1 * poly[i] and toeplitz[i] * 1, then the products.
+            acc = dict(poly[i].terms) if i <= m else {}
+            get = acc.get
+            for mono, coeff in toeplitz[i].terms.items():
+                acc[mono] = get(mono, 0) + coeff
+            add_products(acc, ((x, poly[i - j]) for j, x in nonzero_column if j < i))
+            new.append(finish_sum(acc))
+        poly = new
     return poly
 
 
-def _det_laurent(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
+def _dot(pairs: Sequence[tuple[int, LaurentPoly]], vec: Mapping[int, LaurentPoly]) -> LaurentPoly:
+    """The sum of x * vec[j] over the (j, x) pairs whose vec[j] is nonzero."""
+    return sum_of_products((x, vec[j]) for j, x in pairs if j in vec)
+
+
+def _det_laurent(rows: Sequence[Mapping[int, LaurentPoly]]) -> LaurentPoly:
     c = _berkowitz(rows)[-1]
     return -c if len(rows) % 2 else c

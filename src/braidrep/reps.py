@@ -12,17 +12,22 @@ Conventions used throughout:
 * The B_n constructors burau, lkb and exterior_square_burau are memoised:
   each is a pure function of its arguments and returns an immutable
   MatrixRep, so each generator's inverse is formed once per process, from
-  its minimal polynomial.  The SM_n constructors take arbitrary parameters,
-  stay uncached and reuse the cached base with its inverses and sparse rows.
+  its minimal polynomial; burau(n) and burau(n, "t") are one entry.  The
+  SM_n constructors take arbitrary parameters, stay uncached and reuse the
+  cached base with its inverses and sparse rows.
 * Every SM_n extension is built by one recipe, _extend: over a base's stored
   images S_i and S_i^-1, tau_i maps to a*S_i + b*S_i^-1 + c*I.  burau_ext is
   the case (1 - a, 0, a), lkb_ext the case (u, 0, v), and
   singular_extension_by_affine_combination takes (a, b, c) as given; the
   Birman map tau -> sigma - sigma^-1 is (1, -1, 0).
 * A generator inverse and a tau image are each one _combine over nonzero
-  entries.  rep_apply folds a word over its letters' sparse rows
-  (MatrixRep.letter_rows), copying unit entries instead of multiplying, and
-  makes the product dense once.
+  entries, and the sparse rows it forms are kept as the letter's rows
+  (MatrixRep.letter_rows), unit entries as the ring's shared one.  rep_rows
+  folds a word over its letters' rows, copying unit entries instead of
+  multiplying, and the product stays sparse: verify_relations compares the
+  two sides' rows, invariants runs Berkowitz on them, and only rep_apply,
+  which returns a RingMatrix, and a failing relation's difference make one
+  dense.
 * Elements of an algebra, such as the group algebra of B_n here and the
   Temperley-Lieb algebra in tl, are LinComb instances: sparse linear
   combinations of basis keys, one subclass per algebra.
@@ -38,6 +43,7 @@ the determinant of the local Burau block.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
@@ -115,24 +121,35 @@ class MatrixRep:
         return self.tau_image(i)
 
     def letter_rows(self, letter: tuple[int, int]) -> list[dict]:
-        """The letter's image as sparse rows, built once per representation."""
+        """The letter's image as sparse rows, built once per representation.
+
+        Unit entries are the ring's shared `one`.  The rows are shared: read them only.
+        """
         rows = self._rows.get(letter)
         if rows is None:
-            rows = self._rows[letter] = _unit_rows(self.letter_image(letter), _ONES[self.ring])
+            rows = self._rows[letter] = _unit_rows(sparse_rows(self.letter_image(letter).rows),
+                                                   self.ring)
         return rows
 
 
-def _unit_rows(m: RingMatrix, one) -> list[dict]:
-    """m's sparse rows, each entry equal to 1 replaced by the shared `one`."""
-    return [{j: one if e.is_one() else e for j, e in row.items()} for row in sparse_rows(m.rows)]
+def _unit_rows(rows: list[dict], ring: str) -> list[dict]:
+    """The sparse rows with each entry equal to 1 replaced by the ring's shared `one`."""
+    one = _ONES[ring]
+    return [{j: one if e.is_one() else e for j, e in row.items()} for row in rows]
 
 
-def _combine(dim: int, ring: str, terms, one) -> RingMatrix:
-    """The sum of x * M over the (scalar x, sparse rows of M) terms, over ring: one
-    sparse_mul per row, over nonzero entries only, where an entry `one` copies x."""
+def _combine(dim: int, ring: str, terms, one) -> list[dict]:
+    """Sparse rows of the sum of x * M over the (scalar x, sparse rows of M) terms, over
+    ring: one sparse_mul per row, over nonzero entries only, where an entry `one` copies x.
+    Unit entries of the result are the ring's shared `one`."""
     scalars = {k: s for k, (x, _) in enumerate(terms) if (s := coerce_entry(ring, x))}
-    rows = [sparse_mul([scalars], [m[i] for _, m in terms], one)[0] for i in range(dim)]
-    return RingMatrix.from_sparse(rows, ring)
+    return _unit_rows([sparse_mul([scalars], [m[i] for _, m in terms], one)[0]
+                       for i in range(dim)], ring)
+
+
+def _images(rows: dict, sign: int, n: int, ring: str) -> tuple[RingMatrix, ...]:
+    """The images of the letters (i, sign), i = 1 .. n - 1, from their sparse rows in rows."""
+    return tuple(RingMatrix.from_sparse(rows[i, sign], ring) for i in range(1, n))
 
 
 def _finish_rep(name: str, n: int, sigmas: list[RingMatrix], roots) -> MatrixRep:
@@ -140,20 +157,24 @@ def _finish_rep(name: str, n: int, sigmas: list[RingMatrix], roots) -> MatrixRep
 
     Each S is a root of prod (x - r) = x^d + ... + p_1 x + p_0, p_0 a unit, so
     S^-1 = -(S^(d-1) + p_(d-1) S^(d-2) + ... + p_1) / p_0 inverts no matrix.
+    The sparse rows of S and S^-1 are kept as the letters' rows.
     """
     p = [ONE]
     for r in roots:
         p = [x - r * y for x, y in zip([ZERO, *p], [*p, ZERO])]
     scale = -RatFunc(ONE, p[0]).as_laurent()
     dim = sigmas[0].dim
-    inverses = []
-    for s in sigmas:
-        powers = [[{i: ONE} for i in range(dim)], _unit_rows(s, ONE)]
+    rows = {}
+    for i, s in enumerate(sigmas, 1):
+        powers = [[{k: ONE} for k in range(dim)], _unit_rows(sparse_rows(s.rows), RING_LAURENT)]
         while len(powers) < len(roots):
             powers.append(sparse_mul(powers[-1], powers[1], ONE))
         terms = [(scale * c, m) for c, m in zip(p[1:], powers)]
-        inverses.append(_combine(dim, RING_LAURENT, terms, ONE))
-    return MatrixRep(name, n, dim, RING_LAURENT, tuple(sigmas), tuple(inverses))
+        rows[i, 1] = powers[1]
+        rows[i, -1] = _combine(dim, RING_LAURENT, terms, ONE)
+    rep = MatrixRep(name, n, dim, RING_LAURENT, tuple(sigmas), _images(rows, -1, n, RING_LAURENT))
+    rep._rows.update(rows)
+    return rep
 
 
 def _extend(base: MatrixRep, name: str, a, b, c) -> MatrixRep:
@@ -161,30 +182,43 @@ def _extend(base: MatrixRep, name: str, a, b, c) -> MatrixRep:
 
     A zero coefficient adds no term; all three zero give the zero matrix.  A
     rational coefficient puts the taus over the fraction field, and the
-    crossing images move there too.
+    crossing images move there too.  The rows each _combine forms are kept as
+    the letter's rows.
     """
     rational = any(x and isinstance(x, (RatFunc, Fraction)) for x in (a, b, c))
     ring = RING_RATFUNC if rational else base.ring
     one = _ONES[base.ring]
     ident = [{i: one} for i in range(base.dim)]
-    taus = tuple(_combine(base.dim, ring, ((a, base.letter_rows((i, 1))),
-                                           (b, base.letter_rows((i, -1))), (c, ident)), one)
-                 for i in range(1, base.n))
-    if ring != base.ring:
-        images = [tuple(_combine(base.dim, ring, ((1, base.letter_rows((i, s))),), one)
-                        for i in range(1, base.n)) for s in (1, -1)]
-        return MatrixRep(name, base.n, base.dim, ring, *images, taus)
-    rep = MatrixRep(name, base.n, base.dim, ring, base.sigma_images, base.sigma_inv_images, taus)
-    # Same images over the same ring: share the base's crossing rows, which no reader mutates.
-    rep._rows.update({(i, s): base.letter_rows((i, s)) for i in range(1, base.n) for s in (1, -1)})
+    rows = {(i, 0): _combine(base.dim, ring, ((a, base.letter_rows((i, 1))),
+                                              (b, base.letter_rows((i, -1))), (c, ident)), one)
+            for i in range(1, base.n)}
+    crossings = [(i, s) for i in range(1, base.n) for s in (1, -1)]
+    if ring == base.ring:
+        # Same images over the same ring: share the base's crossing images and
+        # rows, which no reader mutates.
+        rows.update({letter: base.letter_rows(letter) for letter in crossings})
+        images = base.sigma_images, base.sigma_inv_images
+    else:
+        rows.update({letter: _combine(base.dim, ring, ((1, base.letter_rows(letter)),), one)
+                     for letter in crossings})
+        images = _images(rows, 1, base.n, ring), _images(rows, -1, base.n, ring)
+    rep = MatrixRep(name, base.n, base.dim, ring, *images, _images(rows, 0, base.n, ring))
+    rep._rows.update(rows)
     return rep
 
 
 # -- Burau ---------------------------------------------------------------------
 
-@cache
 def burau(n: int, var: str = "t") -> MatrixRep:
-    """Unreduced n-dimensional Burau representation over Z[var^{+-1}]."""
+    """Unreduced n-dimensional Burau representation over Z[var^{+-1}].
+
+    Memoised on (n, var) with var's default filled in, so burau(n) is burau(n, "t").
+    """
+    return _burau(n, var)
+
+
+@cache
+def _burau(n: int, var: str) -> MatrixRep:
     if n < 2:
         raise ValueError("strand count must be at least 2")
     t = variable(var)
@@ -199,13 +233,16 @@ def burau(n: int, var: str = "t") -> MatrixRep:
     return _finish_rep(f"burau[{var}]", n, sigmas, (ONE, -t))
 
 
+burau.cache_clear = _burau.cache_clear  # as on the other memoised constructors
+
+
 def burau_ext(n: int, a: Param = None) -> MatrixRep:
     """Burau extended to SM_n: the singular block is [[1-t+at, t-at], [1-a, a]].
 
     That is, tau_i maps to (1 - a) * sigma_i-image + a * identity.
     """
     av = _resolve_param(a, "a")
-    return _extend(burau(n, "t"), "burau-ext", 1 - av, 0, av)
+    return _extend(burau(n), "burau-ext", 1 - av, 0, av)
 
 
 # -- Lawrence-Krammer-Bigelow ----------------------------------------------------
@@ -293,14 +330,22 @@ def wedge_square(m: RingMatrix) -> RingMatrix:
 
 # -- applying representations and verifying relations ------------------------------
 
-def rep_apply(rep: MatrixRep, word: BraidWord) -> RingMatrix:
-    """Image of a word: the product of generator images in word order."""
+def rep_rows(rep: MatrixRep, word: BraidWord) -> list[dict]:
+    """Sparse rows of a word's image: the product of its letters' rows in word order.
+
+    A one-letter word gives the letter's shared rows (MatrixRep.letter_rows),
+    so the result is only read, never mutated.
+    """
     if word.n != rep.n:
         raise ValueError(f"word is on {word.n} strands, representation on {rep.n}")
     one = _ONES[rep.ring]
-    rows = word_image(word, rep.letter_rows, lambda: [{i: one} for i in range(rep.dim)],
+    return word_image(word, rep.letter_rows, lambda: [{i: one} for i in range(rep.dim)],
                       partial(sparse_mul, one=one))
-    return RingMatrix.from_sparse(rows, rep.ring)
+
+
+def rep_apply(rep: MatrixRep, word: BraidWord) -> RingMatrix:
+    """Image of a word: the product of generator images in word order."""
+    return RingMatrix.from_sparse(rep_rows(rep, word), rep.ring)
 
 
 @dataclass(frozen=True)
@@ -332,13 +377,13 @@ class RelationReport:
         return f"{len(self.failures)} of {len(self.checks)} relations fail"
 
 
-def _verify(subject: str, n: int, monoid: str,
-            image: Callable[[BraidWord], object]) -> RelationReport:
+def _verify(subject: str, n: int, monoid: str, image: Callable[[BraidWord], object],
+            difference: Callable[[object, object], object] = operator.sub) -> RelationReport:
     """Push every defining relation through `image`; failures carry the difference.
 
     `image` maps a word to a value in canonical form, so a relation holds
-    exactly when its two sides compare equal with `==`; the difference
-    `lhs - rhs` is formed only for a relation that fails.
+    exactly when its two sides compare equal with `==`; the difference of
+    the two sides is formed only for a relation that fails.
     """
     checks = []
     for rel in relation_set(n, monoid):
@@ -346,15 +391,22 @@ def _verify(subject: str, n: int, monoid: str,
         ok = lhs == rhs
         checks.append(
             RelationCheck(rel.label, str(rel.lhs), str(rel.rhs), ok,
-                          None if ok else lhs - rhs)
+                          None if ok else difference(lhs, rhs))
         )
     return RelationReport(subject, monoid, tuple(checks))
 
 
 def verify_relations(rep: MatrixRep) -> RelationReport:
-    """Check every defining relation instance symbolically; failures carry the difference."""
+    """Check every defining relation instance symbolically; failures carry the difference.
+
+    The sides are compared as sparse rows, which hold no zero entry; a
+    failure's difference is the RingMatrix rep_apply(lhs) - rep_apply(rhs).
+    """
+    def difference(lhs: list[dict], rhs: list[dict]) -> RingMatrix:
+        return RingMatrix.from_sparse(lhs, rep.ring) - RingMatrix.from_sparse(rhs, rep.ring)
+
     return _verify(rep.name, rep.n, "SMn" if rep.has_tau else "Bn",
-                   lambda word: rep_apply(rep, word))
+                   partial(rep_rows, rep), difference)
 
 
 # -- determinants of the singular images --------------------------------------------
@@ -552,15 +604,18 @@ def singular_extension_by_affine_combination(rep: MatrixRep, a: Param = None,
 # commute with S_1, each S_j for j >= 3 and N = S_2 S_1 S_1 S_2 (mixed-near,
 # mixed-far, and long-up with long-down).  Entry (r, s) of XN - NX puts N[k][s] at
 # X[r][k] and -N[r][k] at X[k][s]; at a point this is a linear system in the
-# entries of X, solved exactly below.  Each N is scaled by the lcm of its
+# entries of X, solved exactly below.  The images are the nonzero entries of the
+# stored letter rows, evaluated at the point.  Each N is scaled by the lcm of its
 # denominators (leaving its commutant unchanged), so every row is a list of ints.
 #
-# _rref eliminates over the integers (fraction-free): each row is scaled by the
-# lcm of its denominators (an int row, as the solver's are, is taken as it is),
-# reduced against the pivot rows found so far by gcd-scaled combinations
-# a*v - b*p, and kept, divided by its content, if it is not zero.  One back-substitution over the
-# r <= m^2 pivot rows then clears the pivot columns, and only the final rows
-# are divided by their pivots.  The reduced row echelon form of a matrix is
+# _rref eliminates over the integers (fraction-free) on dict rows {column: int}
+# that hold only nonzero entries: each row is scaled by the lcm of its
+# denominators (an int row, as the solver's are, is taken as it is), reduced
+# against the pivot rows found so far by gcd-scaled combinations a*v - b*p, and
+# kept, divided by its content, if it is not zero; its pivot is its first
+# column.  One back-substitution over the r <= m^2 pivot rows then clears the
+# pivot columns, and only the final rows are divided by their pivots and made
+# dense.  The reduced row echelon form of a matrix is
 # unique, so the rows and pivots are those of a Gauss-Jordan elimination over
 # Q, and so are every nullspace basis, span test and solver output built on
 # them; only the arithmetic differs.
@@ -568,34 +623,48 @@ def singular_extension_by_affine_combination(rep: MatrixRep, a: Param = None,
 FractRows = list[list[Fraction]]
 
 
-def _integer_row(row: list[Fraction]) -> list[int]:
-    """The row scaled by the lcm of its denominators (a unit scalar over Q); an int row as is."""
-    if all(type(x) is int for x in row):
-        return row
-    d = lcm(*(x.denominator for x in row))
-    return [x.numerator * (d // x.denominator) for x in row]
+def _integer_row(row: list[Fraction]) -> dict[int, int]:
+    """The row's nonzero entries {column: int}, scaled by the lcm of their
+    denominators (a unit scalar over Q); an int row as it is."""
+    v = {c: x for c, x in enumerate(row) if x}
+    if all(type(x) is int for x in v.values()):
+        return v
+    d = lcm(*(x.denominator for x in v.values()))
+    return {c: x.numerator * (d // x.denominator) for c, x in v.items()}
 
 
-def _eliminate(v: list[int], p: list[int], c: int) -> list[int]:
-    """a*v - b*p with a, b = p[c], v[c] over their gcd, so entry c becomes zero."""
+def _eliminate(v: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
+    """a*v - b*p with a, b = p[c], v[c] over their gcd, so entry c becomes zero;
+    entries that cancel are dropped."""
     g = gcd(v[c], p[c])
     a, b = p[c] // g, v[c] // g
-    return [a * x - b * y for x, y in zip(v, p)]
+    out = {j: a * x for j, x in v.items()}
+    for j, y in p.items():
+        x = out.get(j, 0) - b * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return out
+
+
+def _primitive(v: dict[int, int]) -> dict[int, int]:
+    """v divided by its content, the gcd of its entries."""
+    g = gcd(*v.values())
+    return {j: x // g for j, x in v.items()}
 
 
 def _rref(rows: FractRows) -> tuple[FractRows, list[int]]:
     cols = len(rows[0]) if rows else 0
-    found: list[tuple[int, list[int]]] = []  # (pivot column, integer row) in order found
+    found: list[tuple[int, dict[int, int]]] = []  # (pivot column, integer row) in order found
     for row in rows:
         v = _integer_row(row)
         for c, p in found:
-            if v[c]:
+            if c in v:
                 v = _eliminate(v, p, c)
-        c = next((c for c, x in enumerate(v) if x), None)
-        if c is None:
+        if not v:
             continue
-        g = gcd(*v)
-        found.append((c, [x // g for x in v]))
+        found.append((min(v), _primitive(v)))
         if len(found) == cols:
             break
     # Row k is zero in the pivot columns found before it, so clearing the
@@ -604,12 +673,11 @@ def _rref(rows: FractRows) -> tuple[FractRows, list[int]]:
         c, p = found[k]
         for j in range(k):
             cj, v = found[j]
-            if v[c]:
-                v = _eliminate(v, p, c)
-                g = gcd(*v)
-                found[j] = (cj, [x // g for x in v])
-    found.sort()
-    return [[Fraction(x, p[c]) for x in p] for c, p in found], [c for c, _ in found]
+            if c in v:
+                found[j] = (cj, _primitive(_eliminate(v, p, c)))
+    found.sort(key=lambda pivot_row: pivot_row[0])
+    return ([[Fraction(p.get(j, 0), p[c]) for j in range(cols)] for c, p in found],
+            [c for c, _ in found])
 
 
 def _nullspace(rows: FractRows, cols: int) -> list[list[Fraction]]:
@@ -664,18 +732,25 @@ def solve_extension_space(n: int, point: Mapping[str, Fraction | int]) -> Extens
     rep = lkb(n)
     m = rep.dim
     pt = {"q": qv, "t": tv}
-    S = [None] + [sparse_rows(rep.sigma_image(i).evaluate(pt)) for i in range(1, n)]
+
+    def evaluate(letter: tuple[int, int]) -> list[dict]:
+        return [{c: x for c, e in row.items() if (x := e.evaluate(pt))}
+                for row in rep.letter_rows(letter)]
+
+    S = [None] + [evaluate((i, 1)) for i in range(1, n)]
     s2s1s1s2 = sparse_mul(sparse_mul(S[2], S[1]), sparse_mul(S[1], S[2]))
     rows: list[list[int]] = []
     for M in (S[1], *S[3:], s2s1s1s2):
-        flat = _integer_row([row.get(c, 0) for row in M for c in range(m)])
-        N = [flat[r * m:(r + 1) * m] for r in range(m)]
+        d = lcm(*(x.denominator for row in M for x in row.values()))
+        N = [{c: x.numerator * (d // x.denominator) for c, x in row.items()} for row in M]
+        columns = [{k: row[s] for k, row in enumerate(N) if s in row} for s in range(m)]
         for r in range(m):
             for s in range(m):
                 row = [0] * (m * m)
-                for k in range(m):
-                    row[r * m + k] += N[k][s]
-                    row[k * m + s] -= N[r][k]
+                for k, x in columns[s].items():
+                    row[r * m + k] += x
+                for k, x in N[r].items():
+                    row[k * m + s] -= x
                 if any(row):
                     rows.append(row)
     basis_vectors = _nullspace(rows, m * m)
@@ -689,7 +764,7 @@ def solve_extension_space(n: int, point: Mapping[str, Fraction | int]) -> Extens
     contains_id = _in_span(basis_vectors, id_flat)
     quadratic_ok: bool | None = None
     if n >= 4:
-        S_inv = [None] + [sparse_rows(rep.sigma_inv_image(i).evaluate(pt)) for i in range(1, n)]
+        S_inv = [None] + [evaluate((i, -1)) for i in range(1, n)]
         quadratic_ok = _quadratic_commutations_hold(n, S, S_inv, basis_vectors, m)
     return ExtensionSolution(
         n=n,

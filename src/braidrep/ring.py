@@ -399,15 +399,12 @@ def variables_of(polys: Iterable[LaurentPoly]) -> set[str]:
     return {name for name, _ in _fields_present(m for p in polys for m in p.terms)}
 
 
-def sum_of_products(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
-    """The sum of x * y over the (x, y) pairs, accumulated in one dict.
+def add_products(acc: dict[Mono, int], pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> None:
+    """Add the term products of x * y, over the (x, y) pairs, into acc {monomial: coefficient}.
 
-    No polynomial is built per product.  The guard bits are checked over
-    every key touched, before zero coefficients are dropped (once, at the
-    end), so a term product out of range raises OverflowError, as under *,
-    even where the sum cancels it.
+    No polynomial is built per product, and nothing is checked or dropped
+    here: finish_sum does both, once, for the whole sum.
     """
-    acc: dict[Mono, int] = {}
     get = acc.get
     for x, y in pairs:
         a, b = x.terms, y.terms
@@ -418,9 +415,25 @@ def sum_of_products(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> Laurent
             for m2, c2 in b.items():
                 m = delta + m2
                 acc[m] = get(m, 0) + c1 * c2
+
+
+def finish_sum(acc: dict[Mono, int]) -> LaurentPoly:
+    """The polynomial accumulated in acc by add_products.
+
+    The guard bits are checked over every key touched, before zero
+    coefficients are dropped, so a term product out of range raises
+    OverflowError, as under *, even where the sum cancels it.
+    """
     if reduce(or_, acc, 0) & _GUARDS:
         raise OverflowError(_RANGE_ERROR)
     return LaurentPoly({m: c for m, c in acc.items() if c})
+
+
+def sum_of_products(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """The sum of x * y over the (x, y) pairs, accumulated in one dict."""
+    acc: dict[Mono, int] = {}
+    add_products(acc, pairs)
+    return finish_sum(acc)
 
 
 # -- canonical text form -----------------------------------------------------

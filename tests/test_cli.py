@@ -394,7 +394,8 @@ def test_benchmark_workload_output_is_pinned(name):
 def test_charpoly_at_nine_strands_pinned_and_fast(capsys):
     """The invariant of a 16-letter word at n = 9 (a 36 x 36 LKB image), from
     half its coefficients: on a 2-core x86-64 host the Berkowitz run stopped
-    at c_18 takes about 5 s and the full run about 40 s, with the same bytes."""
+    at c_18 takes 3.2-5.4 s in-process and the full run about 45 s, with the
+    same bytes."""
     argv = ("charpoly", "--n", "9", "--word", "1 2 3 4 5 6 7 8 -1 -3 2 5 7 -6 4 4")
     run(capsys, "rep", "--rep", "lkb", "--n", "9", "--word", "")  # build lkb(9) untimed
     start = time.perf_counter()

@@ -7,7 +7,14 @@ from braidrep import matrix
 from braidrep.braid import BraidWord
 from braidrep.invariants import charpoly_invariant
 from braidrep.matrix import RingMatrix, SingularMatrixError, sparse_rows
-from braidrep.reps import GroupAlgebraElem, burau, exterior_square_burau, lkb, rep_apply
+from braidrep.reps import (
+    GroupAlgebraElem,
+    burau,
+    exterior_square_burau,
+    lkb,
+    rep_apply,
+    rep_rows,
+)
 from braidrep.ring import ONE, ZERO, LaurentPoly, RatFunc, integer, variable
 from conftest import rand_classical_word, rand_poly
 
@@ -345,28 +352,48 @@ def _ref_berkowitz(rows):
     return poly
 
 
+def _dense(rows):
+    """The dense rows of a matrix given by its sparse rows."""
+    return [[row.get(j, ZERO) for j in range(len(rows))] for row in rows]
+
+
+def _ref_berkowitz_sparse(rows):
+    """_ref_berkowitz on the library kernel's argument, sparse rows."""
+    return _ref_berkowitz(_dense(rows))
+
+
 def _assert_berkowitz_matches_reference(rows):
-    """The full run and the run truncated at every top give the reference's
-    coefficients c_0 .. c_top."""
-    ref = _ref_berkowitz(rows)
+    """On sparse rows, the full run and the run truncated at every top give
+    the reference's coefficients c_0 .. c_top, and leave the rows as they were."""
+    before = [dict(row) for row in rows]
+    ref = _ref_berkowitz(_dense(rows))
     assert matrix._berkowitz(rows) == ref
     for top in range(len(rows) + 1):
         assert matrix._berkowitz(rows, top) == ref[:top + 1], top
+    assert rows == before
 
 
 def test_berkowitz_matches_reference_on_word_images(monkeypatch):
+    """On rep_rows images, whose unit entries are the ring's shared one, and
+    through det and inverse, against the reference put in the kernel's place."""
     rng = random.Random(13)
     for make in (burau, lkb, exterior_square_burau):
         for n in range(2, 6):
             # An 8-letter LKB image at n = 5 takes seconds per Berkowitz run.
             top = 5 if make is lkb and n == 5 else 8
             for length in (rng.randint(1, top - 1), top):
-                image = rep_apply(make(n), rand_classical_word(rng, n, length))
-                _assert_berkowitz_matches_reference(image.rows)
+                rows = rep_rows(make(n), rand_classical_word(rng, n, length))
+                _assert_berkowitz_matches_reference(rows)
+                image = RingMatrix.from_sparse(rows, "laurent")
                 det, inverse = image.det(), image.inverse()
                 with monkeypatch.context() as patch:
-                    patch.setattr(matrix, "_berkowitz", _ref_berkowitz)
+                    patch.setattr(matrix, "_berkowitz", _ref_berkowitz_sparse)
                     assert image.det() == det and image.inverse() == inverse
+            # One-letter words give the letters' stored rows themselves.
+            for letter in ((i, s) for i in range(1, n) for s in (1, -1)):
+                rows = rep_rows(make(n), BraidWord(n, (letter,)))
+                assert rows is make(n).letter_rows(letter)
+                _assert_berkowitz_matches_reference(rows)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -384,8 +411,8 @@ def test_berkowitz_matches_reference_on_random_sparse_matrices(seed):
     cancelling = [row[:] for row in rows]
     cancelling[i] = [-x * e for e in rows[j]]
     for variant in (rows, zero_row, zero_column, cancelling):
-        _assert_berkowitz_matches_reference(variant)
-    assert not matrix._berkowitz(cancelling)[-1]
+        _assert_berkowitz_matches_reference(sparse_rows(variant))
+    assert not matrix._berkowitz(sparse_rows(cancelling))[-1]
 
 
 def test_json_round_trip():

@@ -6,8 +6,9 @@ import pytest
 
 from braidrep.braid import BraidWord, relation_set
 from braidrep.garside import NormalForm, nf_equal, nf_inverse, to_normal_form
-from braidrep.matrix import RingMatrix
+from braidrep.matrix import RingMatrix, sparse_rows
 from braidrep.reps import (
+    _ONES,
     DegeneratePointError,
     GroupAlgebraElem,
     MatrixRep,
@@ -305,7 +306,32 @@ def test_extension_shares_its_base_crossing_rows():
     for letter in ((1, 1), (3, -1)):
         assert lkb_ext(4).letter_rows(letter) is lkb(4).letter_rows(letter)
         assert burau_ext(4).letter_rows(letter) is burau(4, "t").letter_rows(letter)
+        assert burau_ext(4).letter_rows(letter) is burau(4).letter_rows(letter)
         assert lkb_ext(4, Fraction(1, 2)).letter_rows(letter) is not lkb(4).letter_rows(letter)
+
+
+def test_burau_default_variable_is_one_cache_entry():
+    for n in (2, 4):
+        assert burau(n) is burau(n, "t")
+    assert burau(4) is not burau(4, "q")
+
+
+@pytest.mark.parametrize("build", [
+    lkb_ext, burau_ext, lambda n: lkb_ext(n, Fraction(1, 2)),
+    lambda n: burau_ext(n, Fraction(1, 3)), lambda n: lkb_ext(n, 2, -1),
+    lambda n: lkb_ext(n, Fraction(2, 3), Fraction(-1, 3)),
+], ids=["lkb-ext", "burau-ext", "lkb-ext-half", "burau-ext-third", "lkb-ext-ints",
+        "lkb-ext-rational"])
+def test_letter_rows_are_the_sparse_images(build):
+    """Every letter's stored rows, the taus' among them, are the nonzero
+    entries of its image, with each unit entry the ring's shared one."""
+    for n in (2, 3, 4):
+        rep = build(n)
+        one = _ONES[rep.ring]
+        for letter in ((i, s) for i in range(1, n) for s in (1, -1, 0)):
+            rows = rep.letter_rows(letter)
+            assert rows == sparse_rows(rep.letter_image(letter).rows), (rep.name, n, letter)
+            assert all(e is one for row in rows for e in row.values() if e.is_one())
 
 
 def test_stored_inverses_match_berkowitz():
@@ -562,14 +588,33 @@ def test_corrupted_representation_fails_verification():
     assert not report.all_ok
     assert any(c.difference is not None and not c.difference.is_zero()
                for c in report.failures)
-    relations = relation_set(3, "Bn")
+    _assert_failures_carry_the_difference(corrupted, report, "Bn")
+
+
+def _assert_failures_carry_the_difference(rep, report, monoid):
+    relations = relation_set(rep.n, monoid)
     assert [c.label for c in report.checks] == [rel.label for rel in relations]
     for rel, check in zip(relations, report.checks):
         if check.ok:
             assert check.difference is None
         else:
-            expected = rep_apply(corrupted, rel.lhs) - rep_apply(corrupted, rel.rhs)
+            expected = rep_apply(rep, rel.lhs) - rep_apply(rep, rel.rhs)
             assert check.difference == expected and not expected.is_zero()
+            assert type(check.difference) is RingMatrix and check.difference.ring == rep.ring
+
+
+def test_corrupted_tau_over_the_fraction_field_fails_verification():
+    """A tau image off by 1/3 in one entry, over the fraction field: the
+    failing relations report rep_apply(lhs) - rep_apply(rhs)."""
+    rep = lkb_ext(3, Fraction(1, 2))
+    assert rep.ring == "ratfunc" and verify_relations(rep).all_ok
+    rows = [list(r) for r in rep.tau_image(1).rows]
+    rows[0][1] = rows[0][1] + Fraction(1, 3)
+    corrupted = MatrixRep("corrupted", 3, 3, rep.ring, rep.sigma_images, rep.sigma_inv_images,
+                          (RingMatrix(rows, rep.ring), rep.tau_image(2)))
+    report = verify_relations(corrupted)
+    assert report.failures
+    _assert_failures_carry_the_difference(corrupted, report, "SMn")
 
 
 # -- determinants of the singular images ---------------------------------------------
@@ -897,23 +942,79 @@ def _random_rational_matrices(rng):
     yield [[Fraction(0)] * 4 for _ in range(3)]
 
 
-def test_rref_and_nullspace_match_sympy():
+def _sympy_rref(rows):
+    """sympy's reduced row echelon form of rows of ints or Fractions, as _rref returns it."""
     sympy = pytest.importorskip("sympy")
+    reduced, pivots = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+    ).rref()
+    return [[Fraction(int(x.p), int(x.q)) for x in reduced.row(i)]
+            for i in range(len(pivots))], list(pivots)
+
+
+def test_rref_and_nullspace_match_sympy():
     from braidrep.reps import _nullspace, _rref
 
     rng = random.Random("rref-oracle")
     for rows in _random_rational_matrices(rng):
         cols = len(rows[0])
-        reduced, pivots = sympy.Matrix(
-            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
-        ).rref()
-        expected = [[Fraction(int(x.p), int(x.q)) for x in reduced.row(i)]
-                    for i in range(len(pivots))]
-        assert _rref(rows) == (expected, list(pivots)), rows
+        expected = _sympy_rref(rows)
+        assert _rref(rows) == expected, rows
         basis = _nullspace(rows, cols)
-        assert len(basis) == cols - len(pivots)
+        assert len(basis) == cols - len(expected[1])
         for vec in basis:
             assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in rows), rows
+
+
+def _tall_sparse_systems(rng):
+    """Integer systems shaped like the solver's: tall, sparse and rank-deficient
+    (rows x cols of rank at most `rank`, from factors with two and three nonzero
+    entries per row), with a zero row and a repeated row."""
+    for rows, cols, rank in ((106, 36, 33), (100, 36, 33), (60, 36, 20), (24, 9, 6)):
+        left = [{k: rng.choice((-3, -2, -1, 1, 2, 3)) for k in rng.sample(range(rank), 2)}
+                for _ in range(rows)]
+        right = [{j: rng.choice((-9, -4, -1, 1, 2, 7)) for j in rng.sample(range(cols), 3)}
+                 for _ in range(rank)]
+        system = [[sum(x * right[k].get(j, 0) for k, x in row.items()) for j in range(cols)]
+                  for row in left]
+        system[rng.randrange(rows)] = [0] * cols
+        system.insert(rng.randrange(rows), system[rng.randrange(rows)][:])
+        yield system
+
+
+def test_rref_matches_sympy_on_tall_sparse_systems():
+    from braidrep.reps import _rref
+
+    rng = random.Random("rref-tall-sparse")
+    ranks = []
+    for rows in _tall_sparse_systems(rng):
+        expected = _sympy_rref(rows)
+        assert _rref(rows) == expected
+        ranks.append((len(expected[1]), len(rows[0])))
+    assert ranks[0] == (33, 36) and all(rank < cols for rank, cols in ranks)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_rref_matches_sympy_on_the_solver_systems(monkeypatch, n):
+    """Every system the extension solver reduces (its constraint rows and its
+    span tests), at seeded points."""
+    from braidrep import reps
+
+    systems, rref = [], reps._rref
+
+    def recording(rows):
+        systems.append(rows)
+        return rref(rows)
+
+    monkeypatch.setattr(reps, "_rref", recording)
+    rng = random.Random(f"rref-solver/{n}")
+    for _ in range(3):
+        point = {"q": rng.choice((2, -3, Fraction(5, 2), Fraction(-7, 3))),
+                 "t": rng.choice((3, -1, Fraction(2, 5), Fraction(-9, 4)))}
+        solve_extension_space(n, point)
+    assert len(systems) == 9
+    for rows in systems:
+        assert rref(rows) == _sympy_rref(rows), rows
 
 
 def test_in_span_rejects_a_matrix_outside_the_span():
