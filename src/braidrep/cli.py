@@ -62,7 +62,8 @@ class UsageError(ValueError):
 
 
 # Python's int-to-str limit: a numerator or denominator with more digits could
-# not be printed, so no rational input may have one.
+# not be printed, so no rational input may have one; a result that holds a
+# longer int is refused by _emit.
 MAX_DIGITS = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
@@ -118,8 +119,18 @@ def _build_rep(name: str, n: int, params: dict[str, object]) -> MatrixRep:
 
 
 def _emit(out: str, data, text) -> None:
-    """Print data() as JSON or text() as text: only the one asked for is built."""
-    print(json.dumps(data(), sort_keys=True) if out == "json" else text())
+    """Print data() as JSON or text() as text: only the one asked for is built.
+
+    data() and text() only format a result, so a ValueError from them is an
+    int of more than MAX_DIGITS digits, which str() refuses: a usage error
+    that prints nothing to stdout.
+    """
+    try:
+        line = json.dumps(data(), sort_keys=True) if out == "json" else text()
+    except ValueError:
+        raise UsageError(f"the result holds an integer of more than {MAX_DIGITS} digits, "
+                         "too long to print") from None
+    print(line)
 
 
 def cmd_rep(args) -> int:

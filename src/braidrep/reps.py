@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations
 from math import gcd, lcm
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .braid import BraidWord, Letter, relation_set, sigma, word_image
 from .garside import NormalForm, nf_inverse, nf_mul, to_normal_form
@@ -453,11 +453,13 @@ def det_tau_b4_diff() -> dict:
 class LinComb:
     """Finite linear combination of basis keys, the element type of an algebra.
 
-    A subclass fixes the algebra with two hooks: `_coeff` coerces a value into
-    the coefficient ring, and `_basis_mul(k1, k2)` returns the key of a product
-    of two basis elements with its scalar factor, or None for a factor of 1.
-    Zero coefficients are dropped by the constructor.  Elements compare by
-    value and are unhashable.
+    A subclass fixes the algebra with three hooks: `_coeff` coerces a value
+    into the coefficient ring, `_identity(n)` is the key of the algebra's unit,
+    and `_basis_mul(k1, k2)` returns the key of a product of two basis elements
+    with its scalar factor, or None for a factor of 1.  A product with the unit
+    key as either factor is the other key, with no call to `_basis_mul`.  Zero
+    coefficients are dropped by the constructor.  Elements compare by value and
+    are unhashable.
     """
 
     __slots__ = ("n", "terms")
@@ -499,10 +501,16 @@ class LinComb:
         if not isinstance(other, type(self)):
             return self.scalar_mul(other)
         self._check(other)
+        one = self._identity(self.n)
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                key, scalar = self._basis_mul(k1, k2)
+                if k1 == one:
+                    key, scalar = k2, None
+                elif k2 == one:
+                    key, scalar = k1, None
+                else:
+                    key, scalar = self._basis_mul(k1, k2)
                 c = c1 * c2 if scalar is None else c1 * c2 * scalar
                 s = out.get(key)
                 out[key] = c if s is None else s + c
@@ -510,6 +518,10 @@ class LinComb:
 
     def __rmul__(self, other):
         return self.scalar_mul(other)
+
+    @classmethod
+    def unit(cls, n: int) -> LinComb:
+        return cls(n, {cls._identity(n): 1})
 
     def scalar_mul(self, value) -> LinComb:
         coeff = self._coeff(value)
@@ -537,6 +549,8 @@ class GroupAlgebraElem(LinComb):
 
     __slots__ = ()
 
+    _identity = staticmethod(NormalForm.identity)
+
     @staticmethod
     def _coeff(value) -> RatFunc:
         return coerce_entry(RING_RATFUNC, value)
@@ -544,10 +558,6 @@ class GroupAlgebraElem(LinComb):
     @staticmethod
     def _basis_mul(k1: NormalForm, k2: NormalForm) -> tuple[NormalForm, None]:
         return nf_mul(k1, k2), None
-
-    @classmethod
-    def unit(cls, n: int) -> GroupAlgebraElem:
-        return cls(n, {NormalForm.identity(n): 1})
 
 
 def _birman_fold(n: int, a: Param, b: Param,
@@ -604,33 +614,26 @@ def singular_extension_by_affine_combination(rep: MatrixRep, a: Param = None,
 # commute with S_1, each S_j for j >= 3 and N = S_2 S_1 S_1 S_2 (mixed-near,
 # mixed-far, and long-up with long-down).  Entry (r, s) of XN - NX puts N[k][s] at
 # X[r][k] and -N[r][k] at X[k][s]; at a point this is a linear system in the
-# entries of X, solved exactly below.  The images are the nonzero entries of the
-# stored letter rows, evaluated at the point.  Each N is scaled by the lcm of its
-# denominators (leaving its commutant unchanged), so every row is a list of ints.
+# entries of X, solved exactly below.
 #
-# _rref eliminates over the integers (fraction-free) on dict rows {column: int}
-# that hold only nonzero entries: each row is scaled by the lcm of its
-# denominators (an int row, as the solver's are, is taken as it is), reduced
-# against the pivot rows found so far by gcd-scaled combinations a*v - b*p, and
-# kept, divided by its content, if it is not zero; its pivot is its first
-# column.  One back-substitution over the r <= m^2 pivot rows then clears the
-# pivot columns, and only the final rows are divided by their pivots and made
-# dense.  The reduced row echelon form of a matrix is
-# unique, so the rows and pivots are those of a Gauss-Jordan elimination over
-# Q, and so are every nullspace basis, span test and solver output built on
-# them; only the arithmetic differs.
-
-FractRows = list[list[Fraction]]
-
-
-def _integer_row(row: list[Fraction]) -> dict[int, int]:
-    """The row's nonzero entries {column: int}, scaled by the lcm of their
-    denominators (a unit scalar over Q); an int row as it is."""
-    v = {c: x for c, x in enumerate(row) if x}
-    if all(type(x) is int for x in v.values()):
-        return v
-    d = lcm(*(x.denominator for x in v.values()))
-    return {c: x.numerator * (d // x.denominator) for c, x in v.items()}
+# The solver runs over Z from the evaluation to the answer.  Each distinct entry
+# of the stored letter rows of S_i and S_i^-1 is evaluated once, as K * p(q, t)
+# for one integer K that clears every denominator at once, and each S_i, S_i^-1
+# and N is divided by its content.  A nonzero scale on a matrix or a vector
+# changes none of the answers: not a commutant, not a span test, and not the
+# quadratic check, where C(r, s) and C(s, r) pick up the same factor.  Each
+# constraint row is built as a dict {column: int} of its nonzero entries.
+#
+# _echelon eliminates fraction-free on such rows: each row is reduced against
+# the pivot rows found so far by gcd-scaled combinations a*v - b*p, and kept,
+# divided by its content, if it is not zero; its pivot is its first column.  One
+# back-substitution over the pivot rows then clears the pivot columns.  The
+# reduced row echelon form of a matrix is unique up to the scale of each row, so
+# the pivots and the nullspace are those of a Gauss-Jordan elimination over Q.
+# _nullspace keeps one primitive integer vector per free column f, nonzero at f
+# and at pivot columns before it only; the span tests and the quadratic check
+# use these as they are, and only basis_matrices divides each vector by its
+# entry at f, its last nonzero one, which gives Gauss-Jordan's basis exactly.
 
 
 def _eliminate(v: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
@@ -654,19 +657,22 @@ def _primitive(v: dict[int, int]) -> dict[int, int]:
     return {j: x // g for j, x in v.items()}
 
 
-def _rref(rows: FractRows) -> tuple[FractRows, list[int]]:
-    cols = len(rows[0]) if rows else 0
-    found: list[tuple[int, dict[int, int]]] = []  # (pivot column, integer row) in order found
-    for row in rows:
-        v = _integer_row(row)
+def _primitive_rows(rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """A nonzero integer matrix's sparse rows divided by its content."""
+    g = gcd(*(x for row in rows for x in row.values()))
+    return [{j: x // g for j, x in row.items()} for row in rows]
+
+
+def _echelon(rows: Iterable[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    """The reduced row echelon form of integer rows {column: nonzero int}, as
+    (pivot column, primitive row) pairs in pivot order."""
+    found: list[tuple[int, dict[int, int]]] = []  # in the order found
+    for v in rows:
         for c, p in found:
             if c in v:
                 v = _eliminate(v, p, c)
-        if not v:
-            continue
-        found.append((min(v), _primitive(v)))
-        if len(found) == cols:
-            break
+        if v:
+            found.append((min(v), _primitive(v)))
     # Row k is zero in the pivot columns found before it, so clearing the
     # columns from the last found back to the first reintroduces nothing.
     for k in range(len(found) - 1, 0, -1):
@@ -676,28 +682,57 @@ def _rref(rows: FractRows) -> tuple[FractRows, list[int]]:
             if c in v:
                 found[j] = (cj, _primitive(_eliminate(v, p, c)))
     found.sort(key=lambda pivot_row: pivot_row[0])
-    return ([[Fraction(p.get(j, 0), p[c]) for j in range(cols)] for c, p in found],
-            [c for c, _ in found])
+    return found
 
 
-def _nullspace(rows: FractRows, cols: int) -> list[list[Fraction]]:
-    if not rows:
-        rows = [[0] * cols]
-    rref, pivots = _rref(rows)
-    free = [c for c in range(cols) if c not in pivots]
+def _nullspace(rows: Iterable[dict[int, int]], cols: int) -> list[dict[int, int]]:
+    """One primitive integer vector per free column f of the rows' echelon form,
+    positive at f, zero at every other free column: together a nullspace basis."""
+    echelon = _echelon(rows)
+    pivots = {c for c, _ in echelon}
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
-        basis.append(vec)
+    for f in range(cols):
+        if f in pivots:
+            continue
+        through = [(c, p) for c, p in echelon if f in p]
+        d = lcm(*(p[c] for c, p in through))
+        vec = {f: d}
+        for c, p in through:
+            vec[c] = -p[f] * (d // p[c])
+        basis.append(_primitive(vec))
     return basis
 
 
-def _in_span(basis: list[list[Fraction]], target: list[Fraction]) -> bool:
+def _in_span(basis: list[dict[int, int]], target: dict[int, int]) -> bool:
     """Whether target lies in the span of basis, whose vectors are independent."""
-    return len(_rref(basis + [target])[1]) == len(basis)
+    return len(_echelon([*basis, target])) == len(basis)
+
+
+def _lkb_letters_over_z(n: int, q: Fraction, t: Fraction) -> tuple[list, list]:
+    """S and S_inv, with S[i] and S_inv[i] the images of s_i and s_i^-1 under lkb(n)
+    at (q, t) as integer sparse rows, each a nonzero multiple of the image; S[0]
+    and S_inv[0] are None."""
+    rep = lkb(n)
+    a, b, c, d = q.numerator, q.denominator, t.numerator, t.denominator
+    entries = dict.fromkeys(e for s in (1, -1) for i in range(1, n)
+                            for row in rep.letter_rows((i, s)) for e in row.values())
+    terms = {e: [(*(exps + (0, 0))[:2], x) for exps, x in e.exponent_terms().items()]
+             for e in entries}
+    # K = a^-lo_q b^hi_q c^-lo_t d^hi_t with lo <= 0 <= hi the exponent bounds
+    # of q and t, so K q^i t^j = a^(i - lo_q) b^(hi_q - i) c^(j - lo_t) d^(hi_t - j).
+    qs = [i for term_list in terms.values() for i, _, _ in term_list]
+    ts = [j for term_list in terms.values() for _, j, _ in term_list]
+    lo_q, hi_q, lo_t, hi_t = min(0, *qs), max(0, *qs), min(0, *ts), max(0, *ts)
+    values = {e: sum(x * a ** (i - lo_q) * b ** (hi_q - i) * c ** (j - lo_t) * d ** (hi_t - j)
+                     for i, j, x in term_list)
+              for e, term_list in terms.items()}
+
+    def letter(i: int, s: int) -> list[dict[int, int]]:
+        return _primitive_rows([{k: x for k, e in row.items() if (x := values[e])}
+                                for row in rep.letter_rows((i, s))])
+
+    return ([None] + [letter(i, 1) for i in range(1, n)],
+            [None] + [letter(i, -1) for i in range(1, n)])
 
 
 @dataclass(frozen=True)
@@ -729,84 +764,99 @@ def solve_extension_space(n: int, point: Mapping[str, Fraction | int]) -> Extens
         raise DegeneratePointError(f"q = {qv} is degenerate")
     if tv == 0:
         raise DegeneratePointError("t = 0 is degenerate")
-    rep = lkb(n)
-    m = rep.dim
-    pt = {"q": qv, "t": tv}
-
-    def evaluate(letter: tuple[int, int]) -> list[dict]:
-        return [{c: x for c, e in row.items() if (x := e.evaluate(pt))}
-                for row in rep.letter_rows(letter)]
-
-    S = [None] + [evaluate((i, 1)) for i in range(1, n)]
-    s2s1s1s2 = sparse_mul(sparse_mul(S[2], S[1]), sparse_mul(S[1], S[2]))
-    rows: list[list[int]] = []
-    for M in (S[1], *S[3:], s2s1s1s2):
-        d = lcm(*(x.denominator for row in M for x in row.values()))
-        N = [{c: x.numerator * (d // x.denominator) for c, x in row.items()} for row in M]
-        columns = [{k: row[s] for k, row in enumerate(N) if s in row} for s in range(m)]
+    m = lkb(n).dim
+    S, S_inv = _lkb_letters_over_z(n, qv, tv)
+    N = _primitive_rows(sparse_mul(sparse_mul(S[2], S[1]), sparse_mul(S[1], S[2])))
+    rows: list[dict[int, int]] = []
+    for M in (S[1], *S[3:], N):
+        columns = [{} for _ in range(m)]
+        for k, row in enumerate(M):
+            for s, x in row.items():
+                columns[s][k] = x
         for r in range(m):
             for s in range(m):
-                row = [0] * (m * m)
-                for k, x in columns[s].items():
-                    row[r * m + k] += x
-                for k, x in N[r].items():
-                    row[k * m + s] -= x
-                if any(row):
+                row = {r * m + k: x for k, x in columns[s].items()}
+                for k, x in M[r].items():
+                    j = k * m + s
+                    y = row.get(j, 0) - x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                if row:
                     rows.append(row)
-    basis_vectors = _nullspace(rows, m * m)
-    basis = [
-        tuple(tuple(vec[r * m + c] for c in range(m)) for r in range(m))
-        for vec in basis_vectors
-    ]
-    s1_flat = [S[1][r].get(c, 0) for r in range(m) for c in range(m)]
-    id_flat = [int(r == c) for r in range(m) for c in range(m)]
-    contains_s1 = _in_span(basis_vectors, s1_flat)
-    contains_id = _in_span(basis_vectors, id_flat)
-    quadratic_ok: bool | None = None
-    if n >= 4:
-        S_inv = [None] + [evaluate((i, -1)) for i in range(1, n)]
-        quadratic_ok = _quadratic_commutations_hold(n, S, S_inv, basis_vectors, m)
+    basis = _nullspace(rows, m * m)
+    s1 = {r * m + c: x for r, row in enumerate(S[1]) for c, x in row.items()}
+    identity = {r * m + r: 1 for r in range(m)}
+    zero = Fraction(0)
+
+    def fraction_matrix(vec: dict[int, int]) -> tuple[tuple[Fraction, ...], ...]:
+        d = vec[max(vec)]
+        return tuple(tuple(Fraction(vec[k], d) if k in vec else zero
+                           for k in range(r * m, (r + 1) * m)) for r in range(m))
+
     return ExtensionSolution(
         n=n,
-        dimension=len(basis_vectors),
-        basis_matrices=tuple(basis),
-        point=tuple(sorted((k, Fraction(v)) for k, v in pt.items())),
-        contains_generator_image=contains_s1,
-        contains_identity=contains_id,
-        quadratic_ok=quadratic_ok,
+        dimension=len(basis),
+        basis_matrices=tuple(map(fraction_matrix, basis)),
+        point=(("q", qv), ("t", tv)),
+        contains_generator_image=_in_span(basis, s1),
+        contains_identity=_in_span(basis, identity),
+        quadratic_ok=_quadratic_commutations_hold(n, S, S_inv, basis, m) if n >= 4 else None,
     )
 
 
-def _quadratic_commutations_hold(n: int, S, S_inv, basis_vectors, m: int) -> bool:
-    """Check tau_i tau_j = tau_j tau_i, |i-j| >= 2, on the whole solution span."""
-    # T_i = A_i X B_i, with A_i the image of a_i (see above) and B_i = A_i^-1.
-    A = [None, [{r: Fraction(1)} for r in range(m)]]
+def _row_sum(x: list[dict], y: list[dict]) -> list[dict]:
+    """The sparse rows of x + y, entries that cancel dropped."""
+    out = []
+    for rx, ry in zip(x, y):
+        row = dict(rx)
+        for j, v in ry.items():
+            w = row.get(j, 0) + v
+            if w:
+                row[j] = w
+            else:
+                del row[j]
+        out.append(row)
+    return out
+
+
+def _quadratic_commutations_hold(n: int, S, S_inv, basis, m: int) -> bool:
+    """Check tau_i tau_j = tau_j tau_i, |i-j| >= 2, on the whole solution span.
+
+    S and S_inv are _lkb_letters_over_z's integer rows and basis holds
+    integer vectors {r * m + c: X[r][c]}; any nonzero scale of either is allowed.
+    """
+    # T_i = A_i X B_i, with A_i the image of a_i (see above) and B_i = A_i^-1,
+    # both up to a scale.
+    A = [None, [{r: 1} for r in range(m)]]
     B = [None, A[1]]
     for i in range(1, n - 1):
         A.append(sparse_mul(sparse_mul(S[i], S[i + 1]), A[i]))
         B.append(sparse_mul(B[i], sparse_mul(S_inv[i + 1], S_inv[i])))
 
-    def lift(i: int, vec) -> list[dict]:
-        X = sparse_rows([vec[r * m:(r + 1) * m] for r in range(m)])
+    def lift(i: int, vec: dict[int, int]) -> list[dict]:
+        X = [{} for _ in range(m)]
+        for k, x in vec.items():
+            X[k // m][k % m] = x
         return sparse_mul(sparse_mul(A[i], X), B[i])
 
-    def commutator(x, y) -> FractRows:
-        xy, yx = sparse_mul(x, y), sparse_mul(y, x)
-        return [[ra.get(c, 0) - rb.get(c, 0) for c in range(m)] for ra, rb in zip(xy, yx)]
-
-    k = len(basis_vectors)
-    lifted = {(i, r): lift(i, vec) for i in range(1, n) for r, vec in enumerate(basis_vectors)}
+    k = len(basis)
+    lifted = {(i, r): lift(i, vec) for i in range(1, n) for r, vec in enumerate(basis)}
     # On the span, sum_r x_r L_i(r) commutes with sum_s x_s L_j(s) for every x
     # exactly when C(r, r) = 0 and C(r, s) + C(s, r) = 0 for r < s, where
-    # C(r, s) = L_i(r) L_j(s) - L_j(s) L_i(r).
+    # C(r, s) = L_i(r) L_j(s) - L_j(s) L_i(r).  Sparse rows hold no zero entry,
+    # so each test compares the two sides' rows.
     for i in range(1, n):
         for j in range(i + 2, n):
-            C = {(r, s): commutator(lifted[i, r], lifted[j, s])
-                 for r in range(k) for s in range(k)}
+            ij = {(r, s): sparse_mul(lifted[i, r], lifted[j, s])
+                  for r in range(k) for s in range(k)}
+            ji = {(r, s): sparse_mul(lifted[j, s], lifted[i, r])
+                  for r in range(k) for s in range(k)}
             for r in range(k):
-                if any(any(row) for row in C[r, r]):
+                if ij[r, r] != ji[r, r]:
                     return False
                 for s in range(r + 1, k):
-                    if any(a + b for ra, rb in zip(C[r, s], C[s, r]) for a, b in zip(ra, rb)):
+                    if _row_sum(ij[r, s], ij[s, r]) != _row_sum(ji[r, s], ji[s, r]):
                         return False
     return True

@@ -81,7 +81,7 @@ class TLDiagram:
 
     @classmethod
     def identity(cls, n: int) -> TLDiagram:
-        return cls(n, tuple(list(range(n, 2 * n)) + list(range(n))))
+        return cls._planar(n, tuple(list(range(n, 2 * n)) + list(range(n))))
 
     @classmethod
     def cup_cap(cls, n: int, i: int) -> TLDiagram:
@@ -196,15 +196,12 @@ class TLElem(LinComb):
 
     __slots__ = ()
     _coeff = staticmethod(_coeff)
+    _identity = staticmethod(TLDiagram.identity)
 
     @staticmethod
     def _basis_mul(d1: TLDiagram, d2: TLDiagram) -> tuple[TLDiagram, LaurentPoly | None]:
         diag, loops = compose_diagrams(d1, d2)
         return diag, LOOP ** loops if loops else None
-
-    @classmethod
-    def unit(cls, n: int) -> TLElem:
-        return cls(n, {TLDiagram.identity(n): 1})
 
     @classmethod
     def generator(cls, n: int, i: int) -> TLElem:

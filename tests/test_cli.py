@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from braidrep.cli import MAX_MATRIX_STRANDS, main
+from braidrep.cli import MAX_DIGITS, MAX_MATRIX_STRANDS, main
 from conftest import reduced_classical_word
 
 
@@ -313,6 +313,24 @@ def test_rational_input_at_the_digit_limit_accepted(capsys, value, plain):
     assert (code, out) == run(capsys, *argv, f"a={plain}")[:2]
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve-ext", "--n", "3", "--point", "q=1" + "3" * 1000 + "/7,t=-5" + "1" * 1000 + "/3"),
+    ("rep", "--rep", "lkb-ext", "--n", "3", "--param", "u=" + "7" * 2000 + "/3",
+     "--word", "t1 t1 t1"),
+])
+def test_result_beyond_the_digit_limit_is_a_usage_error(capsys, argv):
+    """Input under the digit limit whose result holds a longer integer exits 2
+    with one error line and no stdout; the text report of solve-ext, which
+    prints no basis, is unaffected."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: the result holds an integer of more than {MAX_DIGITS} digits, "
+                   "too long to print\n")
+    if argv[0] == "solve-ext":
+        assert run(capsys, *argv, "--out", "text") == (0, "dimension 3\ncontains generator "
+                                                          "image: True\ncontains identity: True\n", "")
+
+
 # SHA-256 prefixes of stdout for the paths of integer-denominator fractions,
 # relation checks, integer constraint rows, the exterior square of Burau, and
 # the normal form and Birman image at large n; every one exits 0.
@@ -341,6 +359,39 @@ def test_pinned_output_bytes(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def _solve_ext_pin_argv(n):
+    """40 seeded points, each in json and text: numerators and denominators of
+    1 to 40 digits, negative ones, unreduced ones, and now and then a
+    degenerate point (exit 2, no stdout)."""
+    rng = random.Random(f"solve-ext-pin/{n}")
+
+    def rational():
+        top = 10 ** rng.choice((1, 1, 2, 3, 6, 12, 40))
+        return f"{rng.randint(-top, top)}/{rng.randint(1, top)}"
+
+    for _ in range(40):
+        point = f"q={rational()},t={rational()}"
+        for out in ("json", "text"):
+            yield ("solve-ext", "--n", str(n), "--point", point, "--out", out)
+
+
+# First 16 hex digits of one SHA-256 over repr((argv, stdout, exit code)) of
+# every call of _solve_ext_pin_argv(n), computed before the solver ran on
+# integer rows throughout.
+SOLVE_EXT_DIGESTS = {3: "b3603a74b3bd910d", 4: "16e9ce489d36d839"}
+
+
+@pytest.mark.parametrize("n", sorted(SOLVE_EXT_DIGESTS))
+def test_solve_ext_output_is_pinned(capsys, n):
+    total, codes = hashlib.sha256(), set()
+    for argv in _solve_ext_pin_argv(n):
+        code, out, _ = run(capsys, *argv)
+        total.update(repr((argv, out, code)).encode())
+        codes.add(code)
+    assert codes == {0, 2}
+    assert total.hexdigest()[:16] == SOLVE_EXT_DIGESTS[n]
 
 
 # The first 12 rounds of seed 1 of each benchmark workload, run through main:

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 
 import pytest
 
+from braidrep import reps
 from braidrep.braid import BraidWord, relation_set
 from braidrep.garside import NormalForm, nf_equal, nf_inverse, to_normal_form
 from braidrep.matrix import RingMatrix, sparse_rows
@@ -758,14 +760,12 @@ def test_extension_space_contains_squared_generator():
         [sum(s1[i][k] * s1[k][j] for k in range(m)) for j in range(m)]
         for i in range(m)
     ]
-    from braidrep.reps import _in_span
-
     basis_vecs = [
         [mat[r][c] for r in range(m) for c in range(m)]
         for mat in solution.basis_matrices
     ]
     flat = [s1sq[r][c] for r in range(m) for c in range(m)]
-    assert _in_span(basis_vecs, flat)
+    assert _lib_in_span(basis_vecs, flat)
 
 
 def test_squared_crossing_is_an_extension():
@@ -822,16 +822,14 @@ def _fraction_in_span(basis, target):
     return len(_fraction_rref(basis + [target])[1]) == len(basis)
 
 
-def _kronecker_solution(n, point):
-    """The extension solver with every product dense, each constraint row
-    built by the Kronecker loop over A_i, B_i, B_i M and M A_i (entry (r, s)
-    of A_i X B_i M - M A_i X B_i puts A_i[r][j] (B_i M)[k][s] - (M A_i)[r][j]
-    B_i[k][s] at X[j][k]) and the nullspace taken by the Fraction Gauss-Jordan
-    elimination above."""
+def _mul(x, y):
+    return [[sum(x[i][k] * y[k][j] for k in range(len(y))) for j in range(len(y[0]))]
+            for i in range(len(x))]
 
-    def mul(x, y):
-        return [[sum(x[i][k] * y[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
 
+def _fraction_images(n, point):
+    """S_i, A_i and B_i = A_i^-1 as dense Fraction matrices, A_i the image of
+    a_i (a_1 = e, a_{i+1} = s_i s_{i+1} a_i), each list indexed from 1."""
     rep = lkb(n)
     m = rep.dim
     S = [None] + [[list(r) for r in rep.sigma_image(i).evaluate(point)] for i in range(1, n)]
@@ -840,13 +838,46 @@ def _kronecker_solution(n, point):
     ident = [[Fraction(int(r == c)) for c in range(m)] for r in range(m)]
     A, B = [None, ident], [None, ident]
     for i in range(1, n - 1):
-        A.append(mul(mul(S[i], S[i + 1]), A[i]))
-        B.append(mul(B[i], mul(S_inv[i + 1], S_inv[i])))
+        A.append(_mul(_mul(S[i], S[i + 1]), A[i]))
+        B.append(_mul(B[i], _mul(S_inv[i + 1], S_inv[i])))
+    return S, A, B
+
+
+def _fraction_quadratic_ok(n, A, B, matrices):
+    """Whether tau_i tau_j = tau_j tau_i, |i - j| >= 2, holds on the span of
+    the matrices X, with T_i = A_i X B_i, in dense Fraction arithmetic."""
+    lifted = {(i, r): _mul(_mul(A[i], x), B[i])
+              for i in range(1, n) for r, x in enumerate(matrices)}
+
+    def comm(i, r, j, s):
+        x, y = lifted[i, r], lifted[j, s]
+        return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(_mul(x, y), _mul(y, x))]
+
+    k = len(matrices)
+    return all(
+        not any(map(any, comm(i, r, j, r)))
+        and all(not any(a + b for ra, rb in zip(comm(i, r, j, s), comm(i, s, j, r))
+                        for a, b in zip(ra, rb))
+                for s in range(r + 1, k))
+        for i in range(1, n) for j in range(i + 2, n) for r in range(k)
+    )
+
+
+def _kronecker_solution(n, point):
+    """The extension solver with every product dense, each constraint row
+    built by the Kronecker loop over A_i, B_i, B_i M and M A_i (entry (r, s)
+    of A_i X B_i M - M A_i X B_i puts A_i[r][j] (B_i M)[k][s] - (M A_i)[r][j]
+    B_i[k][s] at X[j][k]) and the nullspace taken by the Fraction Gauss-Jordan
+    elimination above."""
+    m = lkb(n).dim
+    S, A, B = _fraction_images(n, point)
+    identity = A[1]
     constraints = [(i, S[j]) for i in range(1, n) for j in range(1, n) if abs(i - j) != 1]
-    constraints += [(i, mul(mul(S[i + 1], S[i]), mul(S[i], S[i + 1]))) for i in range(1, n - 1)]
+    constraints += [(i, _mul(_mul(S[i + 1], S[i]), _mul(S[i], S[i + 1])))
+                    for i in range(1, n - 1)]
     rows = []
     for i, M in constraints:
-        BM, MA = mul(B[i], M), mul(M, A[i])
+        BM, MA = _mul(B[i], M), _mul(M, A[i])
         for r in range(m):
             for s in range(m):
                 row = [Fraction(0)] * (m * m)
@@ -857,29 +888,12 @@ def _kronecker_solution(n, point):
                     rows.append(row)
     vectors = _fraction_nullspace(rows, m * m)
     matrices = [[vec[r * m:(r + 1) * m] for r in range(m)] for vec in vectors]
-    quadratic_ok = None
-    if n >= 4:
-        lifted = {(i, r): mul(mul(A[i], x), B[i])
-                  for i in range(1, n) for r, x in enumerate(matrices)}
-
-        def comm(i, r, j, s):
-            x, y = lifted[i, r], lifted[j, s]
-            return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(mul(x, y), mul(y, x))]
-
-        k = len(vectors)
-        quadratic_ok = all(
-            not any(map(any, comm(i, r, j, r)))
-            and all(not any(a + b for ra, rb in zip(comm(i, r, j, s), comm(i, s, j, r))
-                            for a, b in zip(ra, rb))
-                    for s in range(r + 1, k))
-            for i in range(1, n) for j in range(i + 2, n) for r in range(k)
-        )
     return {
         "dimension": len(vectors),
         "basis_matrices": tuple(tuple(map(tuple, x)) for x in matrices),
         "contains_generator_image": _fraction_in_span(vectors, [x for row in S[1] for x in row]),
-        "contains_identity": _fraction_in_span(vectors, [x for row in ident for x in row]),
-        "quadratic_ok": quadratic_ok,
+        "contains_identity": _fraction_in_span(vectors, [x for row in identity for x in row]),
+        "quadratic_ok": _fraction_quadratic_ok(n, A, B, matrices) if n >= 4 else None,
     }
 
 
@@ -952,15 +966,40 @@ def _sympy_rref(rows):
             for i in range(len(pivots))], list(pivots)
 
 
-def test_rref_and_nullspace_match_sympy():
-    from braidrep.reps import _nullspace, _rref
+def _integer_row(row):
+    """A rational row as {column: int}: its nonzero entries times the lcm of
+    their denominators, the form reps._echelon takes."""
+    d = lcm(*(Fraction(x).denominator for x in row))
+    return {c: int(x * d) for c, x in enumerate(row) if x}
 
+
+def _rref_view(echelon, cols):
+    """reps._echelon's (pivot, row) pairs as _sympy_rref returns its form:
+    dense Fraction rows with pivot 1, and the pivot columns."""
+    return ([[Fraction(p.get(j, 0), p[c]) for j in range(cols)] for c, p in echelon],
+            [c for c, _ in echelon])
+
+
+def _lib_rref(rows):
+    return _rref_view(reps._echelon(map(_integer_row, rows)), len(rows[0]) if rows else 0)
+
+
+def _lib_nullspace(rows, cols):
+    return [[vec.get(j, 0) for j in range(cols)]
+            for vec in reps._nullspace(map(_integer_row, rows), cols)]
+
+
+def _lib_in_span(basis, target):
+    return reps._in_span([_integer_row(vec) for vec in basis], _integer_row(target))
+
+
+def test_rref_and_nullspace_match_sympy():
     rng = random.Random("rref-oracle")
     for rows in _random_rational_matrices(rng):
         cols = len(rows[0])
         expected = _sympy_rref(rows)
-        assert _rref(rows) == expected, rows
-        basis = _nullspace(rows, cols)
+        assert _lib_rref(rows) == expected, rows
+        basis = _lib_nullspace(rows, cols)
         assert len(basis) == cols - len(expected[1])
         for vec in basis:
             assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in rows), rows
@@ -983,13 +1022,11 @@ def _tall_sparse_systems(rng):
 
 
 def test_rref_matches_sympy_on_tall_sparse_systems():
-    from braidrep.reps import _rref
-
     rng = random.Random("rref-tall-sparse")
     ranks = []
     for rows in _tall_sparse_systems(rng):
         expected = _sympy_rref(rows)
-        assert _rref(rows) == expected
+        assert _lib_rref(rows) == expected
         ranks.append((len(expected[1]), len(rows[0])))
     assert ranks[0] == (33, 36) and all(rank < cols for rank, cols in ranks)
 
@@ -998,36 +1035,64 @@ def test_rref_matches_sympy_on_tall_sparse_systems():
 def test_rref_matches_sympy_on_the_solver_systems(monkeypatch, n):
     """Every system the extension solver reduces (its constraint rows and its
     span tests), at seeded points."""
-    from braidrep import reps
-
-    systems, rref = [], reps._rref
+    systems, echelon = [], reps._echelon
 
     def recording(rows):
+        rows = list(rows)
         systems.append(rows)
-        return rref(rows)
+        return echelon(rows)
 
-    monkeypatch.setattr(reps, "_rref", recording)
+    monkeypatch.setattr(reps, "_echelon", recording)
     rng = random.Random(f"rref-solver/{n}")
     for _ in range(3):
         point = {"q": rng.choice((2, -3, Fraction(5, 2), Fraction(-7, 3))),
                  "t": rng.choice((3, -1, Fraction(2, 5), Fraction(-9, 4)))}
         solve_extension_space(n, point)
     assert len(systems) == 9
+    cols = lkb(n).dim ** 2
     for rows in systems:
-        assert rref(rows) == _sympy_rref(rows), rows
+        dense = [[row.get(j, 0) for j in range(cols)] for row in rows]
+        assert _rref_view(echelon(rows), cols) == _sympy_rref(dense), rows
 
 
 def test_in_span_rejects_a_matrix_outside_the_span():
-    from braidrep.reps import _in_span
-
-    assert not _in_span([[Fraction(1), Fraction(0)]], [Fraction(0), Fraction(1)])
+    assert not _lib_in_span([[Fraction(1), Fraction(0)]], [Fraction(0), Fraction(1)])
     solution = solve_extension_space(3, {"q": Fraction(2), "t": Fraction(3)})
     vectors = [[x for row in mat for x in row] for mat in solution.basis_matrices]
     # I, S1 and S1^2 all have a zero (0, 1) entry at n = 3, so the matrix unit
     # E_01 is outside their span; E_00 + E_11 + E_22 is inside.
     unit = [Fraction(int(k == 1)) for k in range(9)]
-    assert not _in_span(vectors, unit)
-    assert _in_span(vectors, [Fraction(int(k in (0, 4, 8))) for k in range(9)])
+    assert not _lib_in_span(vectors, unit)
+    assert _lib_in_span(vectors, [Fraction(int(k in (0, 4, 8))) for k in range(9)])
+
+
+def test_quadratic_check_rejects_a_span_that_breaks_far_commutation():
+    """At n = 4 the check tests tau_1 tau_3 = tau_3 tau_1 on a span through
+    C(r, r) = 0 and C(r, s) + C(s, r) = 0; spans made of the solution basis
+    and a matrix unit E_rc break each, and the library agrees with the dense
+    Fraction reference on every span."""
+    n, m, point = 4, 6, {"q": Fraction(3), "t": Fraction(2)}
+    S, S_inv = reps._lkb_letters_over_z(n, point["q"], point["t"])
+    _, A, B = _fraction_images(n, point)
+    basis = [[list(row) for row in mat] for mat in solve_extension_space(n, point).basis_matrices]
+
+    def unit(r, c):
+        return [[Fraction(int((i, j) == (r, c))) for j in range(m)] for i in range(m)]
+
+    def holds(span):
+        vectors = [_integer_row([x for row in mat for x in row]) for mat in span]
+        ok = reps._quadratic_commutations_hold(n, S, S_inv, vectors, m)
+        assert ok == _fraction_quadratic_ok(n, A, B, span)
+        return ok
+
+    assert holds(basis)
+    # A span of one matrix is tested by C(0, 0) alone.
+    assert not holds([unit(0, 1)])
+    assert not holds([unit(0, 1), *basis])
+    # Each of these passes alone, so every C(r, r) of their span is zero and
+    # the span fails through C(r, s) + C(s, r).
+    assert all(holds([x]) for x in [*basis, unit(1, 0)])
+    assert not holds([*basis, unit(1, 0)])
 
 
 def test_degenerate_points_rejected():

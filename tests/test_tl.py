@@ -67,6 +67,32 @@ def test_generator_square_and_absorption():
                     assert u * w == w * u
 
 
+def test_products_with_the_unit_skip_the_composition(monkeypatch):
+    """A term pair with the identity diagram on either side gives the other
+    diagram without a composition: the relation checks at n = 4 and 5 compose
+    180 pairs (600 without the shortcut), none with the identity, and every
+    product equals the one that composes every pair."""
+    pairs, compose = [], TLElem._basis_mul
+    monkeypatch.setattr(TLElem, "_basis_mul",
+                        staticmethod(lambda d1, d2: pairs.append((d1, d2)) or compose(d1, d2)))
+    assert verify_tl_relations(4).all_ok and verify_tl_relations(5).all_ok
+    assert len(pairs) == 180
+    assert not any(TLDiagram.identity(d.n) == d for pair in pairs for d in pair)
+
+    rng = random.Random("tl-unit-products")
+    for n in (2, 3, 4):
+        basis = tl_basis(n)
+        for _ in range(10):
+            x, y = (TLElem(n, {d: rng.randint(-3, 3) for d in rng.sample(basis, 2)})
+                    + tl_unit(n).scalar_mul(rng.randint(1, 3)) for _ in range(2))
+            expected = TLElem(n)
+            for d1, c1 in x.terms.items():
+                for d2, c2 in y.terms.items():
+                    d, loops = compose_diagrams(d1, d2)
+                    expected = expected + TLElem(n, {d: c1 * c2 * DELTA ** loops})
+            assert x * y == expected
+
+
 def test_compose_counts_loops():
     u1 = TLDiagram.cup_cap(2, 1)
     diagram, loops = compose_diagrams(u1, u1)
