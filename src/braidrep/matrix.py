@@ -26,7 +26,6 @@ from sparse rows where the API returns a matrix.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from fractions import Fraction
@@ -142,12 +141,6 @@ class RingMatrix:
             return self
         return self.map_entries(RatFunc, RING_RATFUNC)
 
-    def as_laurent(self) -> RingMatrix:
-        """Convert back to the polynomial ring; every entry must have denominator 1."""
-        if self.ring == RING_LAURENT:
-            return self
-        return self.map_entries(lambda e: e.as_laurent(), RING_LAURENT)
-
     def is_zero(self) -> bool:
         return all(not e for row in self.rows for e in row)
 
@@ -257,9 +250,6 @@ class RingMatrix:
             "rows": [[str(e) for e in row] for row in self.rows],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, data: Mapping) -> RingMatrix:
         ring = data["ring"]
@@ -269,10 +259,6 @@ class RingMatrix:
         if mat.dim != data["dim"]:
             raise ValueError("dim field does not match row count")
         return mat
-
-    @classmethod
-    def from_json(cls, text: str) -> RingMatrix:
-        return cls.from_json_dict(json.loads(text))
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows)

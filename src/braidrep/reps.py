@@ -9,25 +9,27 @@ Conventions used throughout:
 * Representation parameters may be left symbolic (the ring variables u, v,
   a, b, c) or pinned to exact rationals; a non-integer rational forces
   matrices over the fraction field.
+* A MatrixRep stores each letter's image once, as sparse rows built at
+  construction (MatrixRep.rows): the builders write the generator rows
+  directly, unit entries as the ring's shared one, and every other image is
+  one _combine over nonzero entries.  A dense RingMatrix of an image is
+  formed only on request (letter_image, sigma_image, tau_image).
 * The B_n constructors burau, lkb and exterior_square_burau are memoised:
   each is a pure function of its arguments and returns an immutable
   MatrixRep, so each generator's inverse is formed once per process, from
   its minimal polynomial; burau(n) and burau(n, "t") are one entry.  The
   SM_n constructors take arbitrary parameters, stay uncached and reuse the
-  cached base with its inverses and sparse rows.
+  cached base's rows.
 * Every SM_n extension is built by one recipe, _extend: over a base's stored
   images S_i and S_i^-1, tau_i maps to a*S_i + b*S_i^-1 + c*I.  burau_ext is
   the case (1 - a, 0, a), lkb_ext the case (u, 0, v), and
   singular_extension_by_affine_combination takes (a, b, c) as given; the
   Birman map tau -> sigma - sigma^-1 is (1, -1, 0).
-* A generator inverse and a tau image are each one _combine over nonzero
-  entries, and the sparse rows it forms are kept as the letter's rows
-  (MatrixRep.letter_rows), unit entries as the ring's shared one.  rep_rows
-  folds a word over its letters' rows, copying unit entries instead of
-  multiplying, and the product stays sparse: verify_relations compares the
-  two sides' rows, invariants runs Berkowitz on them, and only rep_apply,
-  which returns a RingMatrix, and a failing relation's difference make one
-  dense.
+* rep_rows folds a word over its letters' rows, copying unit entries instead
+  of multiplying, and the product stays sparse: verify_relations compares
+  the two sides' rows, invariants runs Berkowitz on them, and only
+  rep_apply, which returns a RingMatrix, and a failing relation's difference
+  make one dense.
 * Elements of an algebra, such as the group algebra of B_n here and the
   Temperley-Lieb algebra in tl, are LinComb instances: sparse linear
   combinations of basis keys, one subclass per algebra.
@@ -35,10 +37,10 @@ Conventions used throughout:
   letters' images.  An algebra builds each letter's image once per call, on
   first use, so a verifier builds each one once for all its relations.
 
-The exterior square of the Burau representation is the functor wedge_square
-(2x2 minors) applied to the stored Burau images in q and their inverses, so
-it inverts no matrix of its own; its v_{i,i+1} diagonal coefficient is -q,
-the determinant of the local Burau block.
+The exterior square of the Burau representation is the functor of 2x2
+minors (_wedge_rows) applied to the stored Burau rows in q and their
+inverses, so it inverts no matrix of its own; its v_{i,i+1} diagonal
+coefficient is -q, the determinant of the local Burau block.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .matrix import RING_LAURENT, RING_RATFUNC, RingMatrix, coerce_entry, sparse
 from .ring import ONE, ZERO, LaurentPoly, RatFunc, integer, parse_poly, variable
 
 Param = LaurentPoly | Fraction | int | str | None
+Rows = list[dict]
 # The unit entry of each ring's sparse rows, one shared object: sparse_mul tests it by identity.
 _ONES = {RING_LAURENT: ONE, RING_RATFUNC: RatFunc(ONE)}
 
@@ -86,59 +89,50 @@ def _resolve_param(value: Param, default_name: str) -> LaurentPoly | Fraction:
 
 @dataclass(frozen=True)
 class MatrixRep:
-    """Generator images of a matrix representation of B_n or SM_n."""
+    """Generator images of a matrix representation of B_n or SM_n.
+
+    rows maps each letter (i, s) to the sparse rows of its image: s = 1 and
+    -1 for every i, and s = 0 too for SM_n.  Unit entries are the ring's
+    shared `one`, and the rows are shared: read them only.  The hash leaves
+    rows out, so equal representations hash alike.
+    """
 
     name: str
     n: int
     dim: int
     ring: str
-    sigma_images: tuple[RingMatrix, ...]
-    sigma_inv_images: tuple[RingMatrix, ...]
-    tau_images: tuple[RingMatrix, ...] | None = None
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    rows: dict[Letter, Rows] = field(hash=False, repr=False)
 
     @property
     def has_tau(self) -> bool:
-        return self.tau_images is not None
+        return (1, 0) in self.rows
+
+    def letter_rows(self, letter: Letter) -> Rows:
+        try:
+            return self.rows[letter]
+        except KeyError:
+            if letter[1] == 0 and not self.has_tau:
+                raise ValueError(f"representation {self.name!r} has no singular images") from None
+            raise
+
+    def letter_image(self, letter: Letter) -> RingMatrix:
+        """The letter's image as a dense matrix, formed on each call."""
+        return RingMatrix.from_sparse(self.letter_rows(letter), self.ring)
 
     def sigma_image(self, i: int) -> RingMatrix:
-        return self.sigma_images[i - 1]
-
-    def sigma_inv_image(self, i: int) -> RingMatrix:
-        return self.sigma_inv_images[i - 1]
+        return self.letter_image((i, 1))
 
     def tau_image(self, i: int) -> RingMatrix:
-        if self.tau_images is None:
-            raise ValueError(f"representation {self.name!r} has no singular images")
-        return self.tau_images[i - 1]
-
-    def letter_image(self, letter: tuple[int, int]) -> RingMatrix:
-        i, s = letter
-        if s == 1:
-            return self.sigma_images[i - 1]
-        if s == -1:
-            return self.sigma_inv_images[i - 1]
-        return self.tau_image(i)
-
-    def letter_rows(self, letter: tuple[int, int]) -> list[dict]:
-        """The letter's image as sparse rows, built once per representation.
-
-        Unit entries are the ring's shared `one`.  The rows are shared: read them only.
-        """
-        rows = self._rows.get(letter)
-        if rows is None:
-            rows = self._rows[letter] = _unit_rows(sparse_rows(self.letter_image(letter).rows),
-                                                   self.ring)
-        return rows
+        return self.letter_image((i, 0))
 
 
-def _unit_rows(rows: list[dict], ring: str) -> list[dict]:
+def _unit_rows(rows: Rows, ring: str) -> Rows:
     """The sparse rows with each entry equal to 1 replaced by the ring's shared `one`."""
     one = _ONES[ring]
     return [{j: one if e.is_one() else e for j, e in row.items()} for row in rows]
 
 
-def _combine(dim: int, ring: str, terms, one) -> list[dict]:
+def _combine(dim: int, ring: str, terms, one) -> Rows:
     """Sparse rows of the sum of x * M over the (scalar x, sparse rows of M) terms, over
     ring: one sparse_mul per row, over nonzero entries only, where an entry `one` copies x.
     Unit entries of the result are the ring's shared `one`."""
@@ -147,34 +141,26 @@ def _combine(dim: int, ring: str, terms, one) -> list[dict]:
                        for i in range(dim)], ring)
 
 
-def _images(rows: dict, sign: int, n: int, ring: str) -> tuple[RingMatrix, ...]:
-    """The images of the letters (i, sign), i = 1 .. n - 1, from their sparse rows in rows."""
-    return tuple(RingMatrix.from_sparse(rows[i, sign], ring) for i in range(1, n))
-
-
-def _finish_rep(name: str, n: int, sigmas: list[RingMatrix], roots) -> MatrixRep:
-    """A representation of B_n over the Laurent ring from its generator images.
+def _finish_rep(name: str, n: int, dim: int, sigma_rows: list[Rows], roots) -> MatrixRep:
+    """A representation of B_n over the Laurent ring from its generators' sparse
+    rows, whose unit entries are ONE.
 
     Each S is a root of prod (x - r) = x^d + ... + p_1 x + p_0, p_0 a unit, so
     S^-1 = -(S^(d-1) + p_(d-1) S^(d-2) + ... + p_1) / p_0 inverts no matrix.
-    The sparse rows of S and S^-1 are kept as the letters' rows.
     """
     p = [ONE]
     for r in roots:
         p = [x - r * y for x, y in zip([ZERO, *p], [*p, ZERO])]
     scale = -RatFunc(ONE, p[0]).as_laurent()
-    dim = sigmas[0].dim
     rows = {}
-    for i, s in enumerate(sigmas, 1):
-        powers = [[{k: ONE} for k in range(dim)], _unit_rows(sparse_rows(s.rows), RING_LAURENT)]
+    for i, s in enumerate(sigma_rows, 1):
+        powers = [[{k: ONE} for k in range(dim)], s]
         while len(powers) < len(roots):
             powers.append(sparse_mul(powers[-1], powers[1], ONE))
         terms = [(scale * c, m) for c, m in zip(p[1:], powers)]
         rows[i, 1] = powers[1]
         rows[i, -1] = _combine(dim, RING_LAURENT, terms, ONE)
-    rep = MatrixRep(name, n, dim, RING_LAURENT, tuple(sigmas), _images(rows, -1, n, RING_LAURENT))
-    rep._rows.update(rows)
-    return rep
+    return MatrixRep(name, n, dim, RING_LAURENT, rows)
 
 
 def _extend(base: MatrixRep, name: str, a, b, c) -> MatrixRep:
@@ -182,29 +168,19 @@ def _extend(base: MatrixRep, name: str, a, b, c) -> MatrixRep:
 
     A zero coefficient adds no term; all three zero give the zero matrix.  A
     rational coefficient puts the taus over the fraction field, and the
-    crossing images move there too.  The rows each _combine forms are kept as
-    the letter's rows.
+    crossing images move there too; over the base's ring the extension shares
+    the base's crossing rows.
     """
     rational = any(x and isinstance(x, (RatFunc, Fraction)) for x in (a, b, c))
     ring = RING_RATFUNC if rational else base.ring
     one = _ONES[base.ring]
     ident = [{i: one} for i in range(base.dim)]
-    rows = {(i, 0): _combine(base.dim, ring, ((a, base.letter_rows((i, 1))),
-                                              (b, base.letter_rows((i, -1))), (c, ident)), one)
-            for i in range(1, base.n)}
-    crossings = [(i, s) for i in range(1, base.n) for s in (1, -1)]
-    if ring == base.ring:
-        # Same images over the same ring: share the base's crossing images and
-        # rows, which no reader mutates.
-        rows.update({letter: base.letter_rows(letter) for letter in crossings})
-        images = base.sigma_images, base.sigma_inv_images
-    else:
-        rows.update({letter: _combine(base.dim, ring, ((1, base.letter_rows(letter)),), one)
-                     for letter in crossings})
-        images = _images(rows, 1, base.n, ring), _images(rows, -1, base.n, ring)
-    rep = MatrixRep(name, base.n, base.dim, ring, *images, _images(rows, 0, base.n, ring))
-    rep._rows.update(rows)
-    return rep
+    rows = {letter: m if ring == base.ring else _combine(base.dim, ring, ((1, m),), one)
+            for letter, m in base.rows.items() if letter[1]}
+    rows.update({(i, 0): _combine(base.dim, ring, ((a, base.rows[i, 1]), (b, base.rows[i, -1]),
+                                                   (c, ident)), one)
+                 for i in range(1, base.n)})
+    return MatrixRep(name, base.n, base.dim, ring, rows)
 
 
 # -- Burau ---------------------------------------------------------------------
@@ -222,15 +198,12 @@ def _burau(n: int, var: str) -> MatrixRep:
     if n < 2:
         raise ValueError("strand count must be at least 2")
     t = variable(var)
-    sigmas = []
-    for i in range(1, n):
-        rows = [[integer(1) if r == c else integer(0) for c in range(n)] for r in range(n)]
-        rows[i - 1][i - 1] = 1 - t
-        rows[i - 1][i] = t
-        rows[i][i - 1] = integer(1)
-        rows[i][i] = integer(0)
-        sigmas.append(RingMatrix(rows, RING_LAURENT))
-    return _finish_rep(f"burau[{var}]", n, sigmas, (ONE, -t))
+    sigma_rows = []
+    for i in range(n - 1):
+        rows = [{k: ONE} for k in range(n)]
+        rows[i], rows[i + 1] = {i: 1 - t, i + 1: t}, {i: ONE}
+        sigma_rows.append(rows)
+    return _finish_rep(f"burau[{var}]", n, n, sigma_rows, (ONE, -t))
 
 
 burau.cache_clear = _burau.cache_clear  # as on the other memoised constructors
@@ -250,31 +223,33 @@ def burau_ext(n: int, a: Param = None) -> MatrixRep:
 PairTerms = list[tuple[tuple[int, int], LaurentPoly]]
 
 
-def _pair_rows(n: int, image: Callable[[int, int], PairTerms]) -> list[list[LaurentPoly]]:
-    """Matrix on the pair basis: row (k, l) sums the (pair, value) terms of image(k, l)."""
-    basis = pair_basis(n)
-    index = {p: r for r, p in enumerate(basis)}
-    rows = [[integer(0)] * len(basis) for _ in basis]
-    for r, (k, l) in enumerate(basis):
+def _pair_rows(n: int, image: Callable[[int, int], PairTerms]) -> Rows:
+    """Sparse rows on the pair basis: row (k, l) sums the (pair, value) terms of image(k, l)."""
+    index = {p: r for r, p in enumerate(pair_basis(n))}
+    rows = []
+    for k, l in index:
+        row = {}
         for pair, value in image(k, l):
-            rows[r][index[pair]] = rows[r][index[pair]] + value
+            j = index[pair]
+            row[j] = row[j] + value if j in row else value
+        rows.append({j: row[j] for j in sorted(row) if row[j]})
     return rows
 
 
-def _lkb_sigma_rows(n: int, i: int) -> list[list[LaurentPoly]]:
+def _lkb_sigma_rows(n: int, i: int) -> Rows:
     q, t = variable("q"), variable("t")
 
     def image(k: int, l: int) -> PairTerms:
         if k != i and k != i + 1 and l != i and l != i + 1:
-            return [((k, l), integer(1))]
+            return [((k, l), ONE)]
         if k == i + 1:
-            return [((i, l), integer(1))]
+            return [((i, l), ONE)]
         if k == i and l == i + 1:
             return [((i, i + 1), t * q ** 2)]
         if k == i and l > i + 1:
             return [((i, i + 1), t * q * (q - 1)), ((i, l), 1 - q), ((i + 1, l), q)]
         if l == i + 1 and k < i:
-            return [((k, i), integer(1))]
+            return [((k, i), ONE)]
         if l == i and k < i:
             return [((k, i), 1 - q), ((k, i + 1), q), ((i, i + 1), q * (q - 1))]
         raise AssertionError((k, l, i))  # pragma: no cover - the cases are exhaustive
@@ -287,9 +262,9 @@ def lkb(n: int) -> MatrixRep:
     """Lawrence-Krammer-Bigelow representation on the pair basis, over Z[q^{+-1}, t^{+-1}]."""
     if n < 2:
         raise ValueError("strand count must be at least 2")
-    sigmas = [RingMatrix(_lkb_sigma_rows(n, i)) for i in range(1, n)]
     q, t = variable("q"), variable("t")
-    return _finish_rep("lkb", n, sigmas, (ONE, -q, t * q ** 2))
+    return _finish_rep("lkb", n, n * (n - 1) // 2, [_lkb_sigma_rows(n, i) for i in range(1, n)],
+                       (ONE, -q, t * q ** 2))
 
 
 def lkb_ext(n: int, u: Param = None, v: Param = None) -> MatrixRep:
@@ -303,29 +278,34 @@ def lkb_ext(n: int, u: Param = None, v: Param = None) -> MatrixRep:
 def exterior_square_burau(n: int) -> MatrixRep:
     """Second exterior power of the Burau representation written in q.
 
-    Each image is wedge_square of the Burau image, sigma_i^-1 included, since
-    the exterior square of an inverse is the inverse of the exterior square.
+    Each image is the exterior square of the Burau image, sigma_i^-1 included,
+    since the exterior square of an inverse is the inverse of the exterior square.
     """
-    base = burau(n, "q")
     return MatrixRep("wedge-burau", n, n * (n - 1) // 2, RING_LAURENT,
-                     tuple(map(wedge_square, base.sigma_images)),
-                     tuple(map(wedge_square, base.sigma_inv_images)))
+                     {letter: _unit_rows(_wedge_rows(rows, RING_LAURENT), RING_LAURENT)
+                      for letter, rows in burau(n, "q").rows.items()})
 
 
-def wedge_square(m: RingMatrix) -> RingMatrix:
-    """Functorial exterior square: entries are the 2x2 minors on the pair basis.
+def _wedge_rows(rows: Rows, ring: str) -> Rows:
+    """Sparse rows of the functorial exterior square of the matrix with these sparse
+    rows: entries are the nonzero 2x2 minors on the pair basis.
 
     Only minors on two columns where row a or row b is nonzero are formed; the rest vanish.
     """
-    zero = coerce_entry(m.ring, 0)
-    index = {pair: k for k, pair in enumerate(combinations(range(m.dim), 2))}
-    sparse = sparse_rows(m.rows)
-    rows = []
+    zero = coerce_entry(ring, 0)
+    index = {pair: k for k, pair in enumerate(combinations(range(len(rows)), 2))}
+    out = []
     for a, b in index:
-        x, y = sparse[a], sparse[b]
-        rows.append({index[c, d]: x.get(c, zero) * y.get(d, zero) - x.get(d, zero) * y.get(c, zero)
-                     for c, d in combinations(sorted(x.keys() | y.keys()), 2)})
-    return RingMatrix.from_sparse(rows, m.ring)
+        x, y = rows[a], rows[b]
+        minors = ((index[c, d], x.get(c, zero) * y.get(d, zero) - x.get(d, zero) * y.get(c, zero))
+                  for c, d in combinations(sorted(x.keys() | y.keys()), 2))
+        out.append({j: e for j, e in minors if e})
+    return out
+
+
+def wedge_square(m: RingMatrix) -> RingMatrix:
+    """Functorial exterior square: entries are the 2x2 minors on the pair basis."""
+    return RingMatrix.from_sparse(_wedge_rows(sparse_rows(m.rows), m.ring), m.ring)
 
 
 # -- applying representations and verifying relations ------------------------------
@@ -708,28 +688,38 @@ def _in_span(basis: list[dict[int, int]], target: dict[int, int]) -> bool:
     return len(_echelon([*basis, target])) == len(basis)
 
 
+@cache
+def _lkb_entry_table(n: int) -> tuple[list, tuple[int, int, int, int], dict]:
+    """lkb(n)'s crossing rows over the table of their distinct entries, memoised
+    per n like lkb: each entry's (q exponent, t exponent, coefficient) terms, the
+    exponent bounds lo_q, hi_q, lo_t, hi_t with lo <= 0 <= hi, and each letter's
+    rows as {column: entry index}."""
+    index: dict[LaurentPoly, int] = {}
+    letters = {letter: [{k: index.setdefault(e, len(index)) for k, e in row.items()}
+                        for row in rows]
+               for letter, rows in lkb(n).rows.items()}
+    terms = [[(*(exps + (0, 0))[:2], x) for exps, x in e.exponent_terms().items()]
+             for e in index]
+    qs = [i for term_list in terms for i, _, _ in term_list]
+    ts = [j for term_list in terms for _, j, _ in term_list]
+    return terms, (min(0, *qs), max(0, *qs), min(0, *ts), max(0, *ts)), letters
+
+
 def _lkb_letters_over_z(n: int, q: Fraction, t: Fraction) -> tuple[list, list]:
     """S and S_inv, with S[i] and S_inv[i] the images of s_i and s_i^-1 under lkb(n)
     at (q, t) as integer sparse rows, each a nonzero multiple of the image; S[0]
     and S_inv[0] are None."""
-    rep = lkb(n)
+    terms, (lo_q, hi_q, lo_t, hi_t), letters = _lkb_entry_table(n)
     a, b, c, d = q.numerator, q.denominator, t.numerator, t.denominator
-    entries = dict.fromkeys(e for s in (1, -1) for i in range(1, n)
-                            for row in rep.letter_rows((i, s)) for e in row.values())
-    terms = {e: [(*(exps + (0, 0))[:2], x) for exps, x in e.exponent_terms().items()]
-             for e in entries}
-    # K = a^-lo_q b^hi_q c^-lo_t d^hi_t with lo <= 0 <= hi the exponent bounds
-    # of q and t, so K q^i t^j = a^(i - lo_q) b^(hi_q - i) c^(j - lo_t) d^(hi_t - j).
-    qs = [i for term_list in terms.values() for i, _, _ in term_list]
-    ts = [j for term_list in terms.values() for _, j, _ in term_list]
-    lo_q, hi_q, lo_t, hi_t = min(0, *qs), max(0, *qs), min(0, *ts), max(0, *ts)
-    values = {e: sum(x * a ** (i - lo_q) * b ** (hi_q - i) * c ** (j - lo_t) * d ** (hi_t - j)
-                     for i, j, x in term_list)
-              for e, term_list in terms.items()}
+    # K = a^-lo_q b^hi_q c^-lo_t d^hi_t, so K q^i t^j = a^(i - lo_q) b^(hi_q - i)
+    # c^(j - lo_t) d^(hi_t - j).
+    values = [sum(x * a ** (i - lo_q) * b ** (hi_q - i) * c ** (j - lo_t) * d ** (hi_t - j)
+                  for i, j, x in term_list)
+              for term_list in terms]
 
     def letter(i: int, s: int) -> list[dict[int, int]]:
         return _primitive_rows([{k: x for k, e in row.items() if (x := values[e])}
-                                for row in rep.letter_rows((i, s))])
+                                for row in letters[i, s]])
 
     return ([None] + [letter(i, 1) for i in range(1, n)],
             [None] + [letter(i, -1) for i in range(1, n)])

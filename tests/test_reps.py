@@ -31,7 +31,7 @@ from braidrep.reps import (
     verify_relations,
     wedge_square,
 )
-from braidrep.ring import RatFunc, integer, variable
+from braidrep.ring import LaurentPoly, RatFunc, integer, variable
 from conftest import rand_classical_word, rand_poly
 
 q, t, u, v, a = (variable(x) for x in "qtuva")
@@ -136,7 +136,7 @@ def test_lkb_generator_goldens():
 def test_lkb_inverse_by_multiplication():
     rep = lkb(3)
     for i in (1, 2):
-        prod = rep.sigma_image(i) * rep.sigma_inv_image(i)
+        prod = rep.sigma_image(i) * rep.letter_image((i, -1))
         assert prod == RingMatrix.identity(3)
 
 
@@ -152,7 +152,7 @@ def test_generators_satisfy_their_minimal_polynomials():
                 for root in roots:
                     product = product * (s - root * one)
                 assert product.is_zero(), (rep.name, n, i)
-                assert s * rep.sigma_inv_image(i) == one, (rep.name, n, i)
+                assert s * rep.letter_image((i, -1)) == one, (rep.name, n, i)
 
 
 def test_lkb_generator_determinants():
@@ -165,7 +165,7 @@ def test_lkb_generator_determinants():
         assert det * det_inv == 1
         for i in range(1, n):
             assert rep.sigma_image(i).det() == det, (n, i)
-            assert rep.sigma_inv_image(i).det() == det_inv, (n, i)
+            assert rep.letter_image((i, -1)).det() == det_inv, (n, i)
 
 
 def test_lkb_relations():
@@ -226,7 +226,8 @@ def test_lkb_ext_rational_parameters():
     rep = lkb_ext(3, Fraction(1, 2), Fraction(2, 3))
     assert rep.ring == "ratfunc"
     assert verify_relations(rep).all_ok
-    assert lkb_ext(3, Fraction(1, 2)).sigma_inv_images == lkb(3).sigma_inv_images
+    half = lkb_ext(3, Fraction(1, 2))
+    assert all(half.letter_image((i, -1)) == lkb(3).letter_image((i, -1)) for i in (1, 2))
 
 
 # Zero and unit parameters: the taus equal the affine formula coefficient for
@@ -250,21 +251,30 @@ def test_zero_parameters_match_the_affine_formula(n, case):
     build, base_of, x, y = ZERO_PARAMETER_CASES[case]
     rep, base = build(n), base_of(n)
     ident = RingMatrix.identity(base.dim)
-    expected = [m.scalar_mul(x) + ident.scalar_mul(y) for m in base.sigma_images]
+    expected = [base.sigma_image(i).scalar_mul(x) + ident.scalar_mul(y) for i in range(1, n)]
     assert rep.ring == expected[0].ring
-    assert [m.to_json_dict() for m in rep.tau_images] == [m.to_json_dict() for m in expected]
-    assert all(m.ring == rep.ring for m in rep.sigma_images + rep.sigma_inv_images)
+    assert [rep.tau_image(i).to_json_dict() for i in range(1, n)] == \
+        [m.to_json_dict() for m in expected]
+    _assert_entries_in_the_ring(rep)
+
+
+def _assert_entries_in_the_ring(rep):
+    """Every stored entry, crossings' included, is of the representation's ring."""
+    kind = LaurentPoly if rep.ring == "laurent" else RatFunc
+    assert all(type(e) is kind for rows in rep.rows.values() for row in rows
+               for e in row.values()), rep.name
 
 
 def test_affine_extension_with_zero_coefficients():
     base = burau(3)
     zero = singular_extension_by_affine_combination(base, 0, 0, 0)
     assert zero.ring == "laurent"
-    assert all(m == RingMatrix.zero(3) and m.ring == "laurent" for m in zero.tau_images)
+    assert all(m == RingMatrix.zero(3) and m.ring == "laurent"
+               for m in map(zero.tau_image, (1, 2)))
     inverse_only = singular_extension_by_affine_combination(base, 0, Fraction(2, 3), 0)
     assert inverse_only.ring == "ratfunc"
     for i in (1, 2):
-        assert inverse_only.tau_image(i) == base.sigma_inv_image(i).scalar_mul(Fraction(2, 3))
+        assert inverse_only.tau_image(i) == base.letter_image((i, -1)).scalar_mul(Fraction(2, 3))
 
 
 @pytest.fixture
@@ -302,6 +312,39 @@ def test_rebuild_inverts_nothing(inverse_calls, build):
     assert inverse_calls == []
 
 
+@pytest.fixture
+def from_sparse_calls(monkeypatch):
+    """The sparse rows passed to RingMatrix.from_sparse while the test runs."""
+    calls = []
+    from_sparse = RingMatrix.from_sparse
+
+    def counting(rows, ring):
+        calls.append(rows)
+        return from_sparse(rows, ring)
+
+    monkeypatch.setattr(RingMatrix, "from_sparse", staticmethod(counting))
+    return calls
+
+
+def test_no_build_densifies(from_sparse_calls):
+    """Cold builds store sparse rows only and form no dense matrix; two equal
+    builds compare equal and hash alike, and one corrupted letter makes a
+    representation unequal."""
+    for build in (burau, lkb, exterior_square_burau, burau_ext, lkb_ext,
+                  lambda n: burau_ext(n, Fraction(1, 3)), lambda n: lkb_ext(n, Fraction(1, 2)),
+                  lambda n: lkb_ext(n, 2, -1),
+                  lambda n: singular_extension_by_affine_combination(lkb(n), 1, Fraction(-2, 3))):
+        for cached in (burau, lkb, exterior_square_burau):
+            cached.cache_clear()
+        build(4)
+    assert from_sparse_calls == []
+    x, y = lkb_ext(3, 2, -1), lkb_ext(3, 2, -1)
+    assert x is not y and x == y and hash(x) == hash(y)
+    bad = [dict(row) for row in x.letter_rows((1, 0))]
+    bad[0][1] = bad[0].get(1, integer(0)) + 1
+    assert MatrixRep(x.name, x.n, x.dim, x.ring, {**x.rows, (1, 0): bad}) != x
+
+
 def test_extension_shares_its_base_crossing_rows():
     """Over the base's ring an extension reuses the base's sparse crossing rows;
     a rational parameter moves the crossings to the fraction field, so not there."""
@@ -318,22 +361,32 @@ def test_burau_default_variable_is_one_cache_entry():
     assert burau(4) is not burau(4, "q")
 
 
-@pytest.mark.parametrize("build", [
-    lkb_ext, burau_ext, lambda n: lkb_ext(n, Fraction(1, 2)),
-    lambda n: burau_ext(n, Fraction(1, 3)), lambda n: lkb_ext(n, 2, -1),
-    lambda n: lkb_ext(n, Fraction(2, 3), Fraction(-1, 3)),
+@pytest.mark.parametrize("build, base_of, coeffs", [
+    (lkb_ext, lkb, (u, 0, v)), (burau_ext, burau, (1 - a, 0, a)),
+    (lambda n: lkb_ext(n, Fraction(1, 2)), lkb, (Fraction(1, 2), 0, v)),
+    (lambda n: burau_ext(n, Fraction(1, 3)), burau, (Fraction(2, 3), 0, Fraction(1, 3))),
+    (lambda n: lkb_ext(n, 2, -1), lkb, (integer(2), 0, integer(-1))),
+    (lambda n: lkb_ext(n, Fraction(2, 3), Fraction(-1, 3)), lkb,
+     (Fraction(2, 3), 0, Fraction(-1, 3))),
 ], ids=["lkb-ext", "burau-ext", "lkb-ext-half", "burau-ext-third", "lkb-ext-ints",
         "lkb-ext-rational"])
-def test_letter_rows_are_the_sparse_images(build):
-    """Every letter's stored rows, the taus' among them, are the nonzero
-    entries of its image, with each unit entry the ring's shared one."""
+def test_letter_rows_are_the_sparse_images(build, base_of, coeffs):
+    """Every letter's stored rows are the nonzero entries of its image, with
+    each unit entry the ring's shared one: for a tau the image of the dense
+    reference _dense_extension, for a crossing the base's image in the
+    extension's ring."""
     for n in (2, 3, 4):
-        rep = build(n)
+        rep, base = build(n), base_of(n)
+        taus = _dense_extension(base, *coeffs)
         one = _ONES[rep.ring]
-        for letter in ((i, s) for i in range(1, n) for s in (1, -1, 0)):
-            rows = rep.letter_rows(letter)
-            assert rows == sparse_rows(rep.letter_image(letter).rows), (rep.name, n, letter)
-            assert all(e is one for row in rows for e in row.values() if e.is_one())
+        for i in range(1, n):
+            for s, image in ((1, base.sigma_image(i)), (-1, base.letter_image((i, -1))),
+                             (0, taus[i - 1])):
+                if rep.ring == "ratfunc":
+                    image = image.to_ratfunc()
+                rows = rep.letter_rows((i, s))
+                assert rows == sparse_rows(image.rows), (rep.name, n, (i, s))
+                assert all(e is one for row in rows for e in row.values() if e.is_one())
 
 
 def test_stored_inverses_match_berkowitz():
@@ -343,9 +396,10 @@ def test_stored_inverses_match_berkowitz():
         for rep in (burau(n), burau(n, "q"), lkb(n)):
             one = RingMatrix.identity(rep.dim)
             for i in range(1, n):
-                s, s_inv = rep.sigma_image(i), rep.sigma_inv_image(i)
+                s, s_inv = rep.sigma_image(i), rep.letter_image((i, -1))
                 assert s_inv.ring == "laurent"
-                assert s_inv == s.inverse().as_laurent(), (rep.name, n, i)
+                assert s_inv == s.inverse().map_entries(RatFunc.as_laurent, "laurent"), \
+                    (rep.name, n, i)
                 assert s * s_inv == one, (rep.name, n, i)
 
 
@@ -353,7 +407,8 @@ def _dense_extension(base, a, b, c) -> list[RingMatrix]:
     """The reference taus: dense a*S + b*S^-1 + c*I, zero coefficients left out."""
     ident = RingMatrix.identity(base.dim, base.ring)
     taus = []
-    for s, s_inv in zip(base.sigma_images, base.sigma_inv_images):
+    for i in range(1, base.n):
+        s, s_inv = base.sigma_image(i), base.letter_image((i, -1))
         terms = [m.scalar_mul(x) for m, x in ((s, a), (s_inv, b), (ident, c)) if x]
         taus.append(sum(terms[1:], terms[0]) if terms else RingMatrix.zero(base.dim, base.ring))
     return taus
@@ -372,11 +427,11 @@ def test_extension_matches_the_dense_affine_formula(coeffs):
             rep = singular_extension_by_affine_combination(base, *coeffs)
             expected = _dense_extension(base, a, b, c)
             assert rep.ring == expected[0].ring
-            assert [m.to_json_dict() for m in rep.tau_images] == \
+            assert [rep.tau_image(i).to_json_dict() for i in range(1, n)] == \
                 [m.to_json_dict() for m in expected], (base.name, n)
-            assert rep.sigma_images == base.sigma_images
-            assert rep.sigma_inv_images == base.sigma_inv_images
-            assert all(m.ring == rep.ring for m in rep.sigma_images + rep.sigma_inv_images)
+            assert all(rep.letter_image((i, s)) == base.letter_image((i, s))
+                       for i in range(1, n) for s in (1, -1))
+            _assert_entries_in_the_ring(rep)
 
 
 def _dense_fold(rep, word) -> RingMatrix:
@@ -513,7 +568,7 @@ def test_wedge_generators_match_the_case_table():
         identity = RingMatrix.identity(rep.dim)
         for i in range(1, n):
             assert rep.sigma_image(i) == _case_table_wedge(n, i)
-            assert rep.sigma_image(i) * rep.sigma_inv_image(i) == identity
+            assert rep.sigma_image(i) * rep.letter_image((i, -1)) == identity
 
 
 def _all_minors(m: RingMatrix) -> RingMatrix:
@@ -531,7 +586,7 @@ def test_wedge_square_matches_every_minor():
     cases = []
     for n in (2, 3, 4, 5):
         base = burau(n, "q")
-        cases += base.sigma_images + base.sigma_inv_images
+        cases += [base.letter_image((i, s)) for s in (1, -1) for i in range(1, n)]
         cases += [rep_apply(base, rand_classical_word(rng, n, 4)) for _ in range(3)]
         for _ in range(4):
             rows = [[rand_poly(rng, terms=2) if rng.random() < 0.3 else integer(0)
@@ -577,15 +632,7 @@ def test_corrupted_representation_fails_verification():
     rep = lkb(3)
     rows = [list(r) for r in rep.sigma_image(1).rows]
     rows[0][1] = rows[0][1] + 1
-    corrupted = MatrixRep(
-        "corrupted",
-         3,
-        3,
-        rep.ring,
-        (RingMatrix(rows), rep.sigma_image(2)),
-        rep.sigma_inv_images,
-        None,
-    )
+    corrupted = MatrixRep("corrupted", 3, 3, rep.ring, {**rep.rows, (1, 1): sparse_rows(rows)})
     report = verify_relations(corrupted)
     assert not report.all_ok
     assert any(c.difference is not None and not c.difference.is_zero()
@@ -612,8 +659,7 @@ def test_corrupted_tau_over_the_fraction_field_fails_verification():
     assert rep.ring == "ratfunc" and verify_relations(rep).all_ok
     rows = [list(r) for r in rep.tau_image(1).rows]
     rows[0][1] = rows[0][1] + Fraction(1, 3)
-    corrupted = MatrixRep("corrupted", 3, 3, rep.ring, rep.sigma_images, rep.sigma_inv_images,
-                          (RingMatrix(rows, rep.ring), rep.tau_image(2)))
+    corrupted = MatrixRep("corrupted", 3, 3, rep.ring, {**rep.rows, (1, 0): sparse_rows(rows)})
     report = verify_relations(corrupted)
     assert report.failures
     _assert_failures_carry_the_difference(corrupted, report, "SMn")
@@ -693,7 +739,7 @@ def test_affine_extension_of_matrix_rep():
     rep = singular_extension_by_affine_combination(burau(3), 1, -1, 0)
     base = burau(3)
     for i in (1, 2):
-        assert rep.tau_image(i) == base.sigma_image(i) - base.sigma_inv_image(i)
+        assert rep.tau_image(i) == base.sigma_image(i) - base.letter_image((i, -1))
     assert verify_relations(rep).all_ok
 
 
@@ -773,11 +819,9 @@ def test_squared_crossing_is_an_extension():
     # is why the solution space above is three-dimensional.
     for n in (3, 4):
         base = lkb(n)
-        taus = tuple(base.sigma_image(i) * base.sigma_image(i) for i in range(1, n))
-        rep = MatrixRep(
-            "lkb+tau=sigma^2", n, base.dim, base.ring,
-            base.sigma_images, base.sigma_inv_images, taus,
-        )
+        taus = {(i, 0): sparse_rows((base.sigma_image(i) * base.sigma_image(i)).rows)
+                for i in range(1, n)}
+        rep = MatrixRep("lkb+tau=sigma^2", n, base.dim, base.ring, {**base.rows, **taus})
         assert verify_relations(rep).all_ok
 
 
@@ -833,7 +877,7 @@ def _fraction_images(n, point):
     rep = lkb(n)
     m = rep.dim
     S = [None] + [[list(r) for r in rep.sigma_image(i).evaluate(point)] for i in range(1, n)]
-    S_inv = [None] + [[list(r) for r in rep.sigma_inv_image(i).evaluate(point)]
+    S_inv = [None] + [[list(r) for r in rep.letter_image((i, -1)).evaluate(point)]
                       for i in range(1, n)]
     ident = [[Fraction(int(r == c)) for c in range(m)] for r in range(m)]
     A, B = [None, ident], [None, ident]
