@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import BraidWord
-from .matrix import RingMatrix
-from .reps import MatrixRep, exterior_square_burau, lkb, rep_apply
+from .matrix import RING_LAURENT, RING_RATFUNC, RingMatrix, sparse_mul, sparse_sub
+from .reps import MatrixRep, exterior_square_burau, lkb, rep_rows
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,13 @@ def defect_between(phi: MatrixRep, psi: MatrixRep, word: BraidWord) -> DefectRes
     """
     if not word.is_classical:
         raise ValueError("defects are defined for classical words only")
-    phi_w = rep_apply(phi, word)
+    ring = RING_RATFUNC if RING_RATFUNC in (phi.ring, psi.ring) else RING_LAURENT
+    phi_w = rep_rows(phi, word)
     return DefectResult(
         word=word,
-        additive=phi_w - rep_apply(psi, word),
-        multiplicative=(rep_apply(psi, word.inverse()) * phi_w).to_ratfunc(),
+        additive=RingMatrix.from_sparse(sparse_sub(phi_w, rep_rows(psi, word)), ring),
+        multiplicative=RingMatrix.from_sparse(sparse_mul(rep_rows(psi, word.inverse()), phi_w),
+                                              RING_RATFUNC),
     )
 
 

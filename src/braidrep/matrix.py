@@ -6,9 +6,10 @@ basis vector holds the coefficients of its image, and words of group
 elements map to matrix products in word order.
 
 Every matrix product, here and in reps (word images, generator inverses,
-tau images and the rational solver), is one sparse row-wise product
-(Gustavson, ACM TOMS 4(3), 1978) over each row's nonzero entries, for any
-entry type: LaurentPoly, RatFunc or Fraction.
+tau images and the extension solver's integer rows), is one sparse row-wise
+product (Gustavson, ACM TOMS 4(3), 1978) over each row's nonzero entries,
+for any entry type: LaurentPoly, RatFunc or int.  sparse_sub is the
+difference on the same rows.
 Determinants, characteristic polynomials and inverses come from one
 division-free routine, Berkowitz's algorithm (Inf. Proc. Letters 18, 1984),
 which uses ring operations only; it can stop at any coefficient, as the LKB
@@ -101,10 +102,6 @@ class RingMatrix:
         return cls(
             [[one if i == j else zero for j in range(dim)] for i in range(dim)], ring
         )
-
-    @classmethod
-    def zero(cls, dim: int, ring: str = RING_LAURENT) -> RingMatrix:
-        return cls([[coerce_entry(ring, 0)] * dim for _ in range(dim)], ring)
 
     @classmethod
     def from_sparse(cls, rows: Sequence[Mapping], ring: str) -> RingMatrix:
@@ -296,7 +293,7 @@ def sparse_mul(left: Sequence[Mapping], right: Sequence[Mapping], one=None) -> l
     Gustavson's row-wise product: row i of the result sums x * right[k] over
     the entries (k, x) of left[i], and entries that cancel to zero are
     dropped.  Entries are of any one type with +, * and a truth value:
-    LaurentPoly, RatFunc or Fraction.  An entry of right that is the object
+    LaurentPoly, RatFunc or int.  An entry of right that is the object
     `one` (by identity) contributes x itself, with no product.
     """
     out = []
@@ -308,6 +305,18 @@ def sparse_mul(left: Sequence[Mapping], right: Sequence[Mapping], one=None) -> l
                 prev = acc.get(j)
                 acc[j] = xy if prev is None else prev + xy
         out.append({j: e for j, e in acc.items() if e})
+    return out
+
+
+def sparse_sub(left: Sequence[Mapping], right: Sequence[Mapping]) -> list[dict]:
+    """Sparse rows of the difference of two matrices given by their sparse rows,
+    entries that cancel dropped."""
+    out = []
+    for lrow, rrow in zip(left, right):
+        row = dict(lrow)
+        for j, y in rrow.items():
+            row[j] = row[j] - y if j in row else -y
+        out.append({j: e for j, e in row.items() if e})
     return out
 
 

@@ -55,7 +55,8 @@ from typing import Callable, Iterable, Mapping
 
 from .braid import BraidWord, Letter, relation_set, sigma, word_image
 from .garside import NormalForm, nf_inverse, nf_mul, to_normal_form
-from .matrix import RING_LAURENT, RING_RATFUNC, RingMatrix, coerce_entry, sparse_mul, sparse_rows
+from .matrix import (RING_LAURENT, RING_RATFUNC, RingMatrix, _det_laurent, coerce_entry, sparse_mul,
+                     sparse_rows, sparse_sub)
 from .ring import ONE, ZERO, LaurentPoly, RatFunc, integer, parse_poly, variable
 
 Param = LaurentPoly | Fraction | int | str | None
@@ -383,7 +384,7 @@ def verify_relations(rep: MatrixRep) -> RelationReport:
     failure's difference is the RingMatrix rep_apply(lhs) - rep_apply(rhs).
     """
     def difference(lhs: list[dict], rhs: list[dict]) -> RingMatrix:
-        return RingMatrix.from_sparse(lhs, rep.ring) - RingMatrix.from_sparse(rhs, rep.ring)
+        return RingMatrix.from_sparse(sparse_sub(lhs, rhs), rep.ring)
 
     return _verify(rep.name, rep.n, "SMn" if rep.has_tau else "Bn",
                    partial(rep_rows, rep), difference)
@@ -393,12 +394,12 @@ def verify_relations(rep: MatrixRep) -> RelationReport:
 
 def det_tau_symbolic(n: int) -> LaurentPoly:
     """Expanded determinant of the first singular image of the LKB extension."""
-    return lkb_ext(n).tau_image(1).det()
+    return _det_laurent(lkb_ext(n).letter_rows((1, 0)))
 
 
 def det_tau_all_equal(n: int) -> bool:
     rep = lkb_ext(n)
-    dets = {rep.tau_image(i).det() for i in range(1, n)}
+    dets = {_det_laurent(rep.letter_rows((i, 0))) for i in range(1, n)}
     return len(dets) == 1
 
 
@@ -594,14 +595,22 @@ def singular_extension_by_affine_combination(rep: MatrixRep, a: Param = None,
 # commute with S_1, each S_j for j >= 3 and N = S_2 S_1 S_1 S_2 (mixed-near,
 # mixed-far, and long-up with long-down).  Entry (r, s) of XN - NX puts N[k][s] at
 # X[r][k] and -N[r][k] at X[k][s]; at a point this is a linear system in the
-# entries of X, solved exactly below.
+# entries of X, solved exactly below.  A matrix lies in the solution span exactly
+# when every constraint row annihilates it, so the span tests read the rows.
+#
+# The quadratic relations tau_i tau_j = tau_j tau_i, j >= i + 2, reduce to the
+# one pair (1, 3) on that span, in two steps.  A_i is a product of S_1 .. S_i,
+# each of which commutes with T_j (mixed-far), so conjugating by A_i turns the
+# relation into X T_j = T_j X.  By the long relations T_j = G T_3 G^-1 with G a
+# product of S_3 .. S_j, which X commutes with, so this is X T_3 = T_3 X, with
+# T_3 = A X A^-1 and A = S_2 S_3 S_1 S_2.
 #
 # The solver runs over Z from the evaluation to the answer.  Each distinct entry
 # of the stored letter rows of S_i and S_i^-1 is evaluated once, as K * p(q, t)
 # for one integer K that clears every denominator at once, and each S_i, S_i^-1
 # and N is divided by its content.  A nonzero scale on a matrix or a vector
 # changes none of the answers: not a commutant, not a span test, and not the
-# quadratic check, where C(r, s) and C(s, r) pick up the same factor.  Each
+# quadratic check, where T_3 and each commutator pick up one factor.  Each
 # constraint row is built as a dict {column: int} of its nonzero entries.
 #
 # _echelon eliminates fraction-free on such rows: each row is reduced against
@@ -611,9 +620,9 @@ def singular_extension_by_affine_combination(rep: MatrixRep, a: Param = None,
 # reduced row echelon form of a matrix is unique up to the scale of each row, so
 # the pivots and the nullspace are those of a Gauss-Jordan elimination over Q.
 # _nullspace keeps one primitive integer vector per free column f, nonzero at f
-# and at pivot columns before it only; the span tests and the quadratic check
-# use these as they are, and only basis_matrices divides each vector by its
-# entry at f, its last nonzero one, which gives Gauss-Jordan's basis exactly.
+# and at pivot columns before it only; the quadratic check uses these as they
+# are, and only basis_matrices divides each vector by its entry at f, its last
+# nonzero one, which gives Gauss-Jordan's basis exactly.
 
 
 def _eliminate(v: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
@@ -683,9 +692,9 @@ def _nullspace(rows: Iterable[dict[int, int]], cols: int) -> list[dict[int, int]
     return basis
 
 
-def _in_span(basis: list[dict[int, int]], target: dict[int, int]) -> bool:
-    """Whether target lies in the span of basis, whose vectors are independent."""
-    return len(_echelon([*basis, target])) == len(basis)
+def _in_nullspace(rows: list[dict[int, int]], vec: dict[int, int]) -> bool:
+    """Whether every row annihilates vec: it lies in the span of the rows' nullspace."""
+    return not any(sum(x * vec[j] for j, x in row.items() if j in vec) for row in rows)
 
 
 @cache
@@ -725,6 +734,22 @@ def _lkb_letters_over_z(n: int, q: Fraction, t: Fraction) -> tuple[list, list]:
             [None] + [letter(i, -1) for i in range(1, n)])
 
 
+def _constraint_rows(S: list, m: int) -> list[dict[int, int]]:
+    """The integer rows, over the m * m entries of X, of the linear system that X
+    commutes with S_1, each S_j for j >= 3 and N = S_2 S_1 S_1 S_2 (see above)."""
+    N = _primitive_rows(sparse_mul(sparse_mul(S[2], S[1]), sparse_mul(S[1], S[2])))
+    rows: list[dict[int, int]] = []
+    for M in (S[1], *S[3:], N):
+        columns = [{} for _ in range(m)]
+        for k, row in enumerate(M):
+            for s, x in row.items():
+                columns[s][k] = x
+        xm = [{r * m + k: x for k, x in columns[s].items()} for r in range(m) for s in range(m)]
+        mx = [{k * m + s: x for k, x in M[r].items()} for r in range(m) for s in range(m)]
+        rows += filter(None, sparse_sub(xm, mx))
+    return rows
+
+
 @dataclass(frozen=True)
 class ExtensionSolution:
     """Solution space for the singular images of an LKB extension at a point."""
@@ -756,25 +781,7 @@ def solve_extension_space(n: int, point: Mapping[str, Fraction | int]) -> Extens
         raise DegeneratePointError("t = 0 is degenerate")
     m = lkb(n).dim
     S, S_inv = _lkb_letters_over_z(n, qv, tv)
-    N = _primitive_rows(sparse_mul(sparse_mul(S[2], S[1]), sparse_mul(S[1], S[2])))
-    rows: list[dict[int, int]] = []
-    for M in (S[1], *S[3:], N):
-        columns = [{} for _ in range(m)]
-        for k, row in enumerate(M):
-            for s, x in row.items():
-                columns[s][k] = x
-        for r in range(m):
-            for s in range(m):
-                row = {r * m + k: x for k, x in columns[s].items()}
-                for k, x in M[r].items():
-                    j = k * m + s
-                    y = row.get(j, 0) - x
-                    if y:
-                        row[j] = y
-                    else:
-                        del row[j]
-                if row:
-                    rows.append(row)
+    rows = _constraint_rows(S, m)
     basis = _nullspace(rows, m * m)
     s1 = {r * m + c: x for r, row in enumerate(S[1]) for c, x in row.items()}
     identity = {r * m + r: 1 for r in range(m)}
@@ -790,63 +797,27 @@ def solve_extension_space(n: int, point: Mapping[str, Fraction | int]) -> Extens
         dimension=len(basis),
         basis_matrices=tuple(map(fraction_matrix, basis)),
         point=(("q", qv), ("t", tv)),
-        contains_generator_image=_in_span(basis, s1),
-        contains_identity=_in_span(basis, identity),
-        quadratic_ok=_quadratic_commutations_hold(n, S, S_inv, basis, m) if n >= 4 else None,
+        contains_generator_image=_in_nullspace(rows, s1),
+        contains_identity=_in_nullspace(rows, identity),
+        quadratic_ok=_quadratic_commutations_hold(S, S_inv, basis, m) if n >= 4 else None,
     )
 
 
-def _row_sum(x: list[dict], y: list[dict]) -> list[dict]:
-    """The sparse rows of x + y, entries that cancel dropped."""
-    out = []
-    for rx, ry in zip(x, y):
-        row = dict(rx)
-        for j, v in ry.items():
-            w = row.get(j, 0) + v
-            if w:
-                row[j] = w
-            else:
-                del row[j]
-        out.append(row)
-    return out
-
-
-def _quadratic_commutations_hold(n: int, S, S_inv, basis, m: int) -> bool:
+def _quadratic_commutations_hold(S, S_inv, basis, m: int) -> bool:
     """Check tau_i tau_j = tau_j tau_i, |i-j| >= 2, on the whole solution span.
 
-    S and S_inv are _lkb_letters_over_z's integer rows and basis holds
-    integer vectors {r * m + c: X[r][c]}; any nonzero scale of either is allowed.
+    S and S_inv are _lkb_letters_over_z's integer rows, at n >= 4, and basis holds
+    integer vectors {r * m + c: X[r][c]} of matrices that commute with S_1 and each
+    S_k, k >= 3; any nonzero scale of either is allowed.  On such a span every far
+    pair holds exactly when X commutes with T_3 = A X A^-1 (see above).
     """
-    # T_i = A_i X B_i, with A_i the image of a_i (see above) and B_i = A_i^-1,
-    # both up to a scale.
-    A = [None, [{r: 1} for r in range(m)]]
-    B = [None, A[1]]
-    for i in range(1, n - 1):
-        A.append(sparse_mul(sparse_mul(S[i], S[i + 1]), A[i]))
-        B.append(sparse_mul(B[i], sparse_mul(S_inv[i + 1], S_inv[i])))
-
-    def lift(i: int, vec: dict[int, int]) -> list[dict]:
-        X = [{} for _ in range(m)]
-        for k, x in vec.items():
-            X[k // m][k % m] = x
-        return sparse_mul(sparse_mul(A[i], X), B[i])
-
-    k = len(basis)
-    lifted = {(i, r): lift(i, vec) for i in range(1, n) for r, vec in enumerate(basis)}
-    # On the span, sum_r x_r L_i(r) commutes with sum_s x_s L_j(s) for every x
-    # exactly when C(r, r) = 0 and C(r, s) + C(s, r) = 0 for r < s, where
-    # C(r, s) = L_i(r) L_j(s) - L_j(s) L_i(r).  Sparse rows hold no zero entry,
-    # so each test compares the two sides' rows.
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            ij = {(r, s): sparse_mul(lifted[i, r], lifted[j, s])
-                  for r in range(k) for s in range(k)}
-            ji = {(r, s): sparse_mul(lifted[j, s], lifted[i, r])
-                  for r in range(k) for s in range(k)}
-            for r in range(k):
-                if ij[r, r] != ji[r, r]:
-                    return False
-                for s in range(r + 1, k):
-                    if _row_sum(ij[r, s], ij[s, r]) != _row_sum(ji[r, s], ji[s, r]):
-                        return False
-    return True
+    A = sparse_mul(sparse_mul(S[2], S[3]), sparse_mul(S[1], S[2]))
+    A_inv = sparse_mul(sparse_mul(S_inv[2], S_inv[1]), sparse_mul(S_inv[3], S_inv[2]))
+    X = [[{k % m: x for k, x in vec.items() if k // m == r} for r in range(m)] for vec in basis]
+    T = [sparse_mul(sparse_mul(A, x), A_inv) for x in X]
+    # sum_r x_r X_r commutes with sum_r x_r T_r for every x exactly when each X_r
+    # commutes with T_r and each X_r - X_s, r < s, with T_r - T_s.  Sparse rows
+    # hold no zero entry, so each test compares the two sides' rows.
+    pairs = [*zip(X, T), *((sparse_sub(X[r], X[s]), sparse_sub(T[r], T[s]))
+                           for r, s in combinations(range(len(X)), 2))]
+    return all(sparse_mul(x, t) == sparse_mul(t, x) for x, t in pairs)

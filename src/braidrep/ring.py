@@ -150,16 +150,10 @@ class LaurentPoly:
     def variables(self) -> set[str]:
         return variables_of((self,))
 
-    def _exponents_of(self, name: str) -> list[int]:
-        shift = _SHIFTS[_VAR_INDEX[name]]
-        return [((m >> shift) & _FIELD) - _BIAS for m in self.terms]
-
     def degree(self, name: str) -> int:
         """Maximum exponent of `name` across terms (0 for the zero polynomial)."""
-        return max(self._exponents_of(name), default=0)
-
-    def min_degree(self, name: str) -> int:
-        return min(self._exponents_of(name), default=0)
+        shift = _SHIFTS[_VAR_INDEX[name]]
+        return max((((m >> shift) & _FIELD) - _BIAS for m in self.terms), default=0)
 
     def leading(self) -> tuple[Mono, int]:
         """Leading (monomial, coefficient) in the canonical term order."""
@@ -623,9 +617,6 @@ class RatFunc:
 
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
-
-    def is_laurent(self) -> bool:
-        return self.den.is_one()
 
     def as_laurent(self) -> LaurentPoly:
         if not self.den.is_one():

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Iterator
 
 from .braid import BraidWord, Letter, word_image
@@ -247,10 +247,17 @@ class TLInvertibility:
     n: int
     a: Fraction
     b: Fraction
-    det_scaled: LaurentPoly
     scale: int
     invertible_over_field: bool
     invertible_over_ring: bool
+
+    @cached_property
+    def det_scaled(self) -> LaurentPoly:
+        """(b + a*LOOP)^Catalan(n-1) * b^(Catalan(n) - Catalan(n-1)) for the scaled
+        integers a and b, expanded on first access."""
+        ai, bi = int(self.a * self.scale), int(self.b * self.scale)
+        with_arc, total = (math.comb(2 * k, k) // (k + 1) for k in (self.n - 1, self.n))
+        return (integer(bi) + integer(ai) * LOOP) ** with_arc * integer(bi) ** (total - with_arc)
 
 
 def invertibility_check(n: int, a: Fraction | int, b: Fraction | int) -> TLInvertibility:
@@ -259,23 +266,20 @@ def invertibility_check(n: int, a: Fraction | int, b: Fraction | int) -> TLInver
     Scaled by the lcm of the parameter denominators, a and b are integers.  u_1
     takes each of the Catalan(n-1) diagrams with top arc (1, 2) to LOOP times
     itself and every other diagram to one of them, so left multiplication is
-    triangular with determinant (b + a*LOOP)^Catalan(n-1) * b^(Catalan(n) -
-    Catalan(n-1)).  Nonzero means invertible over Q(t); over the Laurent ring
-    the scale must be 1 and the determinant a unit, +-t^k.
+    triangular with determinant det_scaled, and Catalan(n) > Catalan(n-1).  As
+    LOOP is not constant, the determinant is nonzero (invertible over Q(t))
+    exactly when b != 0, and with scale 1 a unit +-t^k of the Laurent ring
+    exactly when a = 0 and b = +-1, so neither verdict expands it.
     """
     if n < 2:
         raise ValueError(f"generator index 1 out of range for n={n}")
     af, bf = Fraction(a), Fraction(b)
     scale = math.lcm(af.denominator, bf.denominator)
-    ai, bi = int(af * scale), int(bf * scale)
-    with_arc, total = (math.comb(2 * k, k) // (k + 1) for k in (n - 1, n))  # Catalan numbers
-    det = (integer(bi) + integer(ai) * LOOP) ** with_arc * integer(bi) ** (total - with_arc)
     return TLInvertibility(
         n=n,
         a=af,
         b=bf,
-        det_scaled=det,
         scale=scale,
-        invertible_over_field=not det.is_zero(),
-        invertible_over_ring=scale == 1 and list(det.terms.values()) in ([1], [-1]),
+        invertible_over_field=bf != 0,
+        invertible_over_ring=scale == 1 and af == 0 and bf in (1, -1),
     )

@@ -1,6 +1,7 @@
 import random
 
 from braidrep.braid import BraidWord
+from braidrep.matrix import RingMatrix
 from braidrep.ring import ZERO, LaurentPoly, integer, variable
 
 
@@ -19,6 +20,11 @@ def reduced_classical_word(rng: random.Random, n: int, length: int) -> BraidWord
         if not letters or letters[-1] != (x[0], -x[1]):
             letters.append(x)
     return BraidWord(n, tuple(letters))
+
+
+def zero_matrix(dim: int, ring: str = "laurent") -> RingMatrix:
+    """The dim x dim zero matrix over the ring."""
+    return RingMatrix([[0] * dim] * dim, ring)
 
 
 def rand_poly(rng: random.Random, names=("q", "t"), terms=3, max_exp=2,

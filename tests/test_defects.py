@@ -7,7 +7,7 @@ from braidrep.defects import additive_defect, defect, defect_between, multiplica
 from braidrep.matrix import RingMatrix
 from braidrep.reps import burau, exterior_square_burau, lkb, pair_basis, rep_apply
 from braidrep.ring import RatFunc, variable
-from conftest import rand_classical_word
+from conftest import rand_classical_word, zero_matrix
 
 q = variable("q")
 t = variable("t")
@@ -75,7 +75,7 @@ def test_generator_defects_n3():
 
 def test_diff_against_published_n3():
     d_diff = additive_defect(3, B(3, "1")) - D1_N3_PUBLISHED
-    expected = RingMatrix.zero(3) + RingMatrix(
+    expected = zero_matrix(3) + RingMatrix(
         [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
     )
     assert d_diff == expected
@@ -152,7 +152,7 @@ def test_disjoint_rows_are_trivial():
 
 
 def test_empty_word_defects():
-    assert additive_defect(3, B(3, "")) == RingMatrix.zero(3)
+    assert additive_defect(3, B(3, "")) == zero_matrix(3)
     assert multiplicative_defect(3, B(3, "")) == RingMatrix.identity(3, "ratfunc")
 
 

@@ -8,7 +8,7 @@ import pytest
 from braidrep import reps
 from braidrep.braid import BraidWord, relation_set
 from braidrep.garside import NormalForm, nf_equal, nf_inverse, to_normal_form
-from braidrep.matrix import RingMatrix, sparse_rows
+from braidrep.matrix import RingMatrix, sparse_mul, sparse_rows
 from braidrep.reps import (
     _ONES,
     DegeneratePointError,
@@ -32,7 +32,7 @@ from braidrep.reps import (
     wedge_square,
 )
 from braidrep.ring import LaurentPoly, RatFunc, integer, variable
-from conftest import rand_classical_word, rand_poly
+from conftest import rand_classical_word, rand_poly, zero_matrix
 
 q, t, u, v, a = (variable(x) for x in "qtuva")
 B = BraidWord.parse
@@ -74,7 +74,7 @@ def test_burau_ext_affine_identity():
         ident = RingMatrix.identity(n)
         for i in range(1, n):
             combo = base.sigma_image(i).scalar_mul(1 - a) + ident.scalar_mul(a)
-            assert rep.tau_image(i) - combo == RingMatrix.zero(n)
+            assert rep.tau_image(i) - combo == zero_matrix(n)
 
 
 def test_burau_ext_rational_parameter():
@@ -269,7 +269,7 @@ def test_affine_extension_with_zero_coefficients():
     base = burau(3)
     zero = singular_extension_by_affine_combination(base, 0, 0, 0)
     assert zero.ring == "laurent"
-    assert all(m == RingMatrix.zero(3) and m.ring == "laurent"
+    assert all(m == zero_matrix(3) and m.ring == "laurent"
                for m in map(zero.tau_image, (1, 2)))
     inverse_only = singular_extension_by_affine_combination(base, 0, Fraction(2, 3), 0)
     assert inverse_only.ring == "ratfunc"
@@ -410,7 +410,7 @@ def _dense_extension(base, a, b, c) -> list[RingMatrix]:
     for i in range(1, base.n):
         s, s_inv = base.sigma_image(i), base.letter_image((i, -1))
         terms = [m.scalar_mul(x) for m, x in ((s, a), (s_inv, b), (ident, c)) if x]
-        taus.append(sum(terms[1:], terms[0]) if terms else RingMatrix.zero(base.dim, base.ring))
+        taus.append(sum(terms[1:], terms[0]) if terms else zero_matrix(base.dim, base.ring))
     return taus
 
 
@@ -811,7 +811,8 @@ def test_extension_space_contains_squared_generator():
         for mat in solution.basis_matrices
     ]
     flat = [s1sq[r][c] for r in range(m) for c in range(m)]
-    assert _lib_in_span(basis_vecs, flat)
+    assert _lib_in_span(3, point, flat)
+    assert _fraction_in_span(basis_vecs, flat)
 
 
 def test_squared_crossing_is_an_extension():
@@ -867,8 +868,9 @@ def _fraction_in_span(basis, target):
 
 
 def _mul(x, y):
-    return [[sum(x[i][k] * y[k][j] for k in range(len(y))) for j in range(len(y[0]))]
-            for i in range(len(x))]
+    """The dense product x * y, skipping the zero entries of x."""
+    return [[sum((a * y[k][j] for k, a in enumerate(row) if a), Fraction(0))
+             for j in range(len(y[0]))] for row in x]
 
 
 def _fraction_images(n, point):
@@ -1033,8 +1035,16 @@ def _lib_nullspace(rows, cols):
             for vec in reps._nullspace(map(_integer_row, rows), cols)]
 
 
-def _lib_in_span(basis, target):
-    return reps._in_span([_integer_row(vec) for vec in basis], _integer_row(target))
+def _solver_rows(n, point):
+    """The extension solver's constraint rows at the point."""
+    S, _ = reps._lkb_letters_over_z(n, Fraction(point["q"]), Fraction(point["t"]))
+    return reps._constraint_rows(S, lkb(n).dim)
+
+
+def _lib_in_span(n, point, target):
+    """The solver's span test: whether the flattened rational matrix target lies
+    in the solution span at the point, read from the constraint rows."""
+    return reps._in_nullspace(_solver_rows(n, point), _integer_row(target))
 
 
 def test_rref_and_nullspace_match_sympy():
@@ -1077,8 +1087,8 @@ def test_rref_matches_sympy_on_tall_sparse_systems():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_rref_matches_sympy_on_the_solver_systems(monkeypatch, n):
-    """Every system the extension solver reduces (its constraint rows and its
-    span tests), at seeded points."""
+    """Every system the extension solver reduces, one per call (its constraint
+    rows), at seeded points."""
     systems, echelon = [], reps._echelon
 
     def recording(rows):
@@ -1092,7 +1102,7 @@ def test_rref_matches_sympy_on_the_solver_systems(monkeypatch, n):
         point = {"q": rng.choice((2, -3, Fraction(5, 2), Fraction(-7, 3))),
                  "t": rng.choice((3, -1, Fraction(2, 5), Fraction(-9, 4)))}
         solve_extension_space(n, point)
-    assert len(systems) == 9
+    assert len(systems) == 3
     cols = lkb(n).dim ** 2
     for rows in systems:
         dense = [[row.get(j, 0) for j in range(cols)] for row in rows]
@@ -1100,21 +1110,47 @@ def test_rref_matches_sympy_on_the_solver_systems(monkeypatch, n):
 
 
 def test_in_span_rejects_a_matrix_outside_the_span():
-    assert not _lib_in_span([[Fraction(1), Fraction(0)]], [Fraction(0), Fraction(1)])
-    solution = solve_extension_space(3, {"q": Fraction(2), "t": Fraction(3)})
-    vectors = [[x for row in mat for x in row] for mat in solution.basis_matrices]
+    # The row (0, 1) has nullspace span{(1, 0)}, which (0, 1) is outside.
+    assert not reps._in_nullspace([{1: 1}], {1: 1})
+    assert reps._in_nullspace([{1: 1}], {0: 5})
+    point = {"q": Fraction(2), "t": Fraction(3)}
     # I, S1 and S1^2 all have a zero (0, 1) entry at n = 3, so the matrix unit
     # E_01 is outside their span; E_00 + E_11 + E_22 is inside.
     unit = [Fraction(int(k == 1)) for k in range(9)]
-    assert not _lib_in_span(vectors, unit)
-    assert _lib_in_span(vectors, [Fraction(int(k in (0, 4, 8))) for k in range(9)])
+    assert not _lib_in_span(3, point, unit)
+    assert _lib_in_span(3, point, [Fraction(int(k in (0, 4, 8))) for k in range(9)])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_span_test_from_the_constraint_rows_matches_the_reference(n):
+    # The solver reads span membership off its constraint rows; the Fraction
+    # reference reduces the solution basis with the target appended.
+    m = lkb(n).dim
+    for point in ({"q": Fraction(2), "t": Fraction(3)},
+                  {"q": Fraction(-7, 3), "t": Fraction(2, 5)}):
+        rows = _solver_rows(n, point)
+        vectors = [[x for row in mat for x in row]
+                   for mat in solve_extension_space(n, point).basis_matrices]
+        S, A, _ = _fraction_images(n, point)
+        powers = [A[1]]
+        for _ in range(3):
+            powers.append(_mul(powers[-1], S[1]))
+        units = [[Fraction(int(k == e)) for k in range(m * m)] for e in range(m * m)]
+        targets = [[x for row in p for x in row] for p in powers] + units
+        verdicts = []
+        for target in targets:
+            verdict = reps._in_nullspace(rows, _integer_row(target))
+            assert verdict == _fraction_in_span(vectors, target), (point, target)
+            verdicts.append(verdict)
+        # I, S1, S1^2 and S1^3 are in the span, and no matrix unit is.
+        assert verdicts[:4] == [True] * 4 and not any(verdicts[4:])
 
 
 def test_quadratic_check_rejects_a_span_that_breaks_far_commutation():
-    """At n = 4 the check tests tau_1 tau_3 = tau_3 tau_1 on a span through
-    C(r, r) = 0 and C(r, s) + C(s, r) = 0; spans made of the solution basis
-    and a matrix unit E_rc break each, and the library agrees with the dense
-    Fraction reference on every span."""
+    """At n = 4 the check tests tau_1 tau_3 = tau_3 tau_1 on a span: each X_r
+    against T_3(X_r), and each X_r - X_s against T_3(X_r) - T_3(X_s); spans made
+    of the solution basis and a matrix unit E_rc break each, and the library
+    agrees with the dense Fraction reference on every span."""
     n, m, point = 4, 6, {"q": Fraction(3), "t": Fraction(2)}
     S, S_inv = reps._lkb_letters_over_z(n, point["q"], point["t"])
     _, A, B = _fraction_images(n, point)
@@ -1125,18 +1161,38 @@ def test_quadratic_check_rejects_a_span_that_breaks_far_commutation():
 
     def holds(span):
         vectors = [_integer_row([x for row in mat for x in row]) for mat in span]
-        ok = reps._quadratic_commutations_hold(n, S, S_inv, vectors, m)
+        ok = reps._quadratic_commutations_hold(S, S_inv, vectors, m)
         assert ok == _fraction_quadratic_ok(n, A, B, span)
         return ok
 
     assert holds(basis)
-    # A span of one matrix is tested by C(0, 0) alone.
+    # A span of one matrix is tested by X_0 against T_3(X_0) alone.
     assert not holds([unit(0, 1)])
     assert not holds([unit(0, 1), *basis])
-    # Each of these passes alone, so every C(r, r) of their span is zero and
-    # the span fails through C(r, s) + C(s, r).
+    # Each of these passes alone, so every X_r commutes with T_3(X_r) and the
+    # span fails through a difference X_r - X_s.
     assert all(holds([x]) for x in [*basis, unit(1, 0)])
     assert not holds([*basis, unit(1, 0)])
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_reduced_quadratic_check_matches_every_far_pair(n):
+    """Past n = 4 the check still tests the single pair (1, 3): on span{I, S1,
+    S1^2}, whose matrices commute with S_1 and each S_k, k >= 3, it agrees with
+    the dense Fraction reference over every pair |i - j| >= 2."""
+    m = lkb(n).dim
+    for point in ({"q": Fraction(2), "t": Fraction(3)},
+                  {"q": Fraction(-3), "t": Fraction(1, 2)}):
+        S, S_inv = reps._lkb_letters_over_z(n, point["q"], point["t"])
+        square = sparse_mul(S[1], S[1])
+        vectors = [{r * m + r: 1 for r in range(m)},
+                   *({r * m + c: x for r, row in enumerate(M) for c, x in row.items()}
+                     for M in (S[1], square))]
+        S_frac, A, B = _fraction_images(n, point)
+        span = [A[1], S_frac[1], _mul(S_frac[1], S_frac[1])]
+        ok = reps._quadratic_commutations_hold(S, S_inv, vectors, m)
+        assert ok == _fraction_quadratic_ok(n, A, B, span), point
+        assert ok
 
 
 def test_degenerate_points_rejected():

@@ -211,6 +211,18 @@ def test_invertibility_check_on_eight_strands_is_fast():
     assert report.invertible_over_field and not report.invertible_over_ring
 
 
+def test_invertibility_verdicts_expand_no_determinant():
+    # Catalan(11) = 58786: the determinant would have 117573 terms, and the
+    # verdicts read only the scaled a and b.
+    start = time.perf_counter()
+    report = invertibility_check(12, 3, -2)
+    verdicts = (report.invertible_over_field, report.invertible_over_ring)
+    assert time.perf_counter() - start < 0.5
+    assert verdicts == (True, False)
+    assert invertibility_check(12, 0, -1).invertible_over_ring
+    assert not invertibility_check(12, 3, 0).invertible_over_field
+
+
 def test_elem_string_is_deterministic():
     elem = tl_rho(3, B(3, "1 t2"))
     assert str(elem) == str(tl_rho(3, B(3, "1 t2")))
