@@ -8,7 +8,9 @@ elements map to matrix products in word order.
 Every matrix product, here and in reps (word images, generator inverses,
 tau images and the extension solver's integer rows), is one sparse row-wise
 product (Gustavson, ACM TOMS 4(3), 1978) over each row's nonzero entries,
-for any entry type: LaurentPoly, RatFunc or int.  sparse_sub is the
+for any entry type: LaurentPoly, RatFunc or int.  Each ring's unit entry is
+one shared object (ONES, written into rows by unit_rows), which sparse_mul
+copies the other factor across instead of multiplying.  sparse_sub is the
 difference on the same rows.
 Determinants, characteristic polynomials and inverses come from one
 division-free routine, Berkowitz's algorithm (Inf. Proc. Letters 18, 1984),
@@ -18,11 +20,13 @@ so a word's image reaches it without being made dense, and it keeps its
 vectors as dicts over their nonzero entries.  Its one term-product loop is
 `ring.add_products`: every entry of its matrix-vector products and of its
 Toeplitz step is accumulated in one dict, with no polynomial built per
-product.  The inverse follows from the same coefficients by
-Cayley-Hamilton.  Over the fraction field each row is first scaled to
-polynomial entries by a common denominator, and the denominators are
-divided out once at the end.  A RingMatrix is dense; from_sparse builds one
-from sparse rows where the API returns a matrix.
+product.  Every inverse, here and of reps' generators, is -B / c_d for the
+rows B that one Horner routine, horner_rows, forms from a polynomial that
+vanishes at the matrix: here Berkowitz's coefficients by Cayley-Hamilton.
+Over the fraction field each row is first scaled to polynomial entries by a
+common denominator, and the denominators are divided out once at the end.  A
+RingMatrix is dense; from_sparse builds one from sparse rows where the API
+returns a matrix.
 """
 
 from __future__ import annotations
@@ -49,6 +53,9 @@ from .ring import (
 
 RING_LAURENT = "laurent"
 RING_RATFUNC = "ratfunc"
+_RATFUNC_ONE = RatFunc(ONE)
+# The unit entry of each ring's sparse rows, one shared object: sparse_mul tests it by identity.
+ONES = {RING_LAURENT: ONE, RING_RATFUNC: _RATFUNC_ONE}
 
 
 class SingularMatrixError(ArithmeticError):
@@ -196,9 +203,8 @@ class RingMatrix:
         """Exact inverse over the fraction field; raises SingularMatrixError.
 
         With det(x*I - A) = sum c_k x^(m-k), Cayley-Hamilton gives
-        A^-1 = -B / c_m for B = sum_{k<m} c_k A^(m-1-k), built by Horner's
-        rule.  Over the fraction field this runs on A' = D*A, and
-        A^-1 = A'^-1 * D.
+        A^-1 = -B / c_m for B = horner_rows(A, c).  Over the fraction field
+        this runs on A' = D*A, and A^-1 = A'^-1 * D.
         """
         a = sparse_rows(self.rows)
         if self.ring == RING_LAURENT:
@@ -209,18 +215,10 @@ class RingMatrix:
         last = coeffs[-1]
         if not last:
             raise SingularMatrixError("matrix is singular")
-        # Sparse rows of B, starting from c_0 * I = I.
-        b = [{i: ONE} for i in range(self.dim)]
-        for c in coeffs[1:-1]:
-            b = sparse_mul(a, b)
-            for i, row in enumerate(b):
-                e = c + row.pop(i, ZERO)
-                if e:
-                    row[i] = e
         zero = RatFunc(ZERO)
         return RingMatrix(
             [[RatFunc(-row[j] * d, last) if j in row else zero for j, d in enumerate(dens)]
-             for row in b],
+             for row in horner_rows(a, coeffs)],
             RING_RATFUNC,
         )
 
@@ -287,21 +285,28 @@ def sparse_rows(rows: Sequence[Sequence]) -> list[dict]:
     return [{j: e for j, e in enumerate(row) if e} for row in rows]
 
 
-def sparse_mul(left: Sequence[Mapping], right: Sequence[Mapping], one=None) -> list[dict]:
+def unit_rows(rows: Sequence[Mapping], ring: str) -> list[dict]:
+    """The sparse rows with each entry equal to 1 replaced by the ring's shared one."""
+    one = ONES[ring]
+    return [{j: one if e.is_one() else e for j, e in row.items()} for row in rows]
+
+
+def sparse_mul(left: Sequence[Mapping], right: Sequence[Mapping]) -> list[dict]:
     """Sparse rows of the product of two matrices given by their sparse rows.
 
     Gustavson's row-wise product: row i of the result sums x * right[k] over
     the entries (k, x) of left[i], and entries that cancel to zero are
     dropped.  Entries are of any one type with +, * and a truth value:
-    LaurentPoly, RatFunc or int.  An entry of right that is the object
-    `one` (by identity) contributes x itself, with no product.
+    LaurentPoly, RatFunc or int.  An entry of right that is a ring's shared
+    one (ONES, by identity) contributes x itself, with no product.
     """
+    one, ratfunc_one = ONE, _RATFUNC_ONE
     out = []
     for lrow in left:
         acc = {}
         for k, x in lrow.items():
             for j, y in right[k].items():
-                xy = x if y is one else x * y
+                xy = x if y is one or y is ratfunc_one else x * y
                 prev = acc.get(j)
                 acc[j] = xy if prev is None else prev + xy
         out.append({j: e for j, e in acc.items() if e})
@@ -318,6 +323,26 @@ def sparse_sub(left: Sequence[Mapping], right: Sequence[Mapping]) -> list[dict]:
             row[j] = row[j] - y if j in row else -y
         out.append({j: e for j, e in row.items() if e})
     return out
+
+
+def horner_rows(rows: Sequence[Mapping], coeffs: Sequence) -> list[dict]:
+    """Sparse rows of B = A^(d-1) + c_1 A^(d-2) + ... + c_(d-1) I, where A has
+    these sparse rows and coeffs is (1, c_1, ..., c_d).
+
+    Where x^d + c_1 x^(d-1) + ... + c_d vanishes at A, A*B = -c_d I, so
+    A^-1 = -B / c_d: RingMatrix.inverse reads c from Berkowitz's
+    characteristic polynomial, reps each generator's from its minimal one.
+    Horner's rule forms B = B_(d-1) from B_0 = I and B_k = A*B_(k-1) + c_k I,
+    in d - 1 sparse products, the first of which copies A.
+    """
+    b = [{i: ONE} for i in range(len(rows))]
+    for c in coeffs[1:-1]:
+        b = sparse_mul(rows, b)
+        for i, row in enumerate(b):
+            e = c + row.pop(i, ZERO)
+            if e:
+                row[i] = e
+    return b
 
 
 def _berkowitz(rows: Sequence[Mapping[int, LaurentPoly]],

@@ -11,25 +11,26 @@ Conventions used throughout:
   matrices over the fraction field.
 * A MatrixRep stores each letter's image once, as sparse rows built at
   construction (MatrixRep.rows): the builders write the generator rows
-  directly, unit entries as the ring's shared one, and every other image is
-  one _combine over nonzero entries.  A dense RingMatrix of an image is
-  formed only on request (letter_image, sigma_image, tau_image).
+  directly, unit entries as the ring's shared one (matrix.ONES), each
+  generator's inverse is matrix.horner_rows of its minimal polynomial, and
+  every other image is one _combine over nonzero entries.  A dense
+  RingMatrix of an image is formed only on request (letter_image,
+  sigma_image, tau_image).
 * The B_n constructors burau, lkb and exterior_square_burau are memoised:
   each is a pure function of its arguments and returns an immutable
-  MatrixRep, so each generator's inverse is formed once per process, from
-  its minimal polynomial; burau(n) and burau(n, "t") are one entry.  The
-  SM_n constructors take arbitrary parameters, stay uncached and reuse the
-  cached base's rows.
+  MatrixRep, so each generator's inverse is formed once per process;
+  burau(n) and burau(n, "t") are one entry.  The SM_n constructors take
+  arbitrary parameters, stay uncached and reuse the cached base's rows.
 * Every SM_n extension is built by one recipe, _extend: over a base's stored
   images S_i and S_i^-1, tau_i maps to a*S_i + b*S_i^-1 + c*I.  burau_ext is
   the case (1 - a, 0, a), lkb_ext the case (u, 0, v), and
   singular_extension_by_affine_combination takes (a, b, c) as given; the
   Birman map tau -> sigma - sigma^-1 is (1, -1, 0).
-* rep_rows folds a word over its letters' rows, copying unit entries instead
-  of multiplying, and the product stays sparse: verify_relations compares
-  the two sides' rows, invariants runs Berkowitz on them, and only
-  rep_apply, which returns a RingMatrix, and a failing relation's difference
-  make one dense.
+* rep_rows folds a word over its letters' rows with matrix.sparse_mul,
+  which copies across unit entries instead of multiplying, and the product
+  stays sparse: verify_relations compares the two sides' rows, invariants
+  runs Berkowitz on them, and only rep_apply, which returns a RingMatrix,
+  and a failing relation's difference make one dense.
 * Elements of an algebra, such as the group algebra of B_n here and the
   Temperley-Lieb algebra in tl, are LinComb instances: sparse linear
   combinations of basis keys, one subclass per algebra.
@@ -55,14 +56,12 @@ from typing import Callable, Iterable, Mapping
 
 from .braid import BraidWord, Letter, relation_set, sigma, word_image
 from .garside import NormalForm, nf_inverse, nf_mul, to_normal_form
-from .matrix import (RING_LAURENT, RING_RATFUNC, RingMatrix, _det_laurent, coerce_entry, sparse_mul,
-                     sparse_rows, sparse_sub)
+from .matrix import (ONES, RING_LAURENT, RING_RATFUNC, RingMatrix, _det_laurent, coerce_entry,
+                     horner_rows, sparse_mul, sparse_rows, sparse_sub, unit_rows)
 from .ring import ONE, ZERO, LaurentPoly, RatFunc, integer, parse_poly, variable
 
 Param = LaurentPoly | Fraction | int | str | None
 Rows = list[dict]
-# The unit entry of each ring's sparse rows, one shared object: sparse_mul tests it by identity.
-_ONES = {RING_LAURENT: ONE, RING_RATFUNC: RatFunc(ONE)}
 
 
 class DegeneratePointError(ValueError):
@@ -94,8 +93,8 @@ class MatrixRep:
 
     rows maps each letter (i, s) to the sparse rows of its image: s = 1 and
     -1 for every i, and s = 0 too for SM_n.  Unit entries are the ring's
-    shared `one`, and the rows are shared: read them only.  The hash leaves
-    rows out, so equal representations hash alike.
+    shared one (matrix.ONES), and the rows are shared: read them only.  The
+    hash leaves rows out, so equal representations hash alike.
     """
 
     name: str
@@ -127,40 +126,33 @@ class MatrixRep:
         return self.letter_image((i, 0))
 
 
-def _unit_rows(rows: Rows, ring: str) -> Rows:
-    """The sparse rows with each entry equal to 1 replaced by the ring's shared `one`."""
-    one = _ONES[ring]
-    return [{j: one if e.is_one() else e for j, e in row.items()} for row in rows]
-
-
-def _combine(dim: int, ring: str, terms, one) -> Rows:
+def _combine(dim: int, ring: str, terms) -> Rows:
     """Sparse rows of the sum of x * M over the (scalar x, sparse rows of M) terms, over
-    ring: one sparse_mul per row, over nonzero entries only, where an entry `one` copies x.
-    Unit entries of the result are the ring's shared `one`."""
+    ring: one sparse_mul per row, over nonzero entries only.  Unit entries of the result
+    are the ring's shared one."""
     scalars = {k: s for k, (x, _) in enumerate(terms) if (s := coerce_entry(ring, x))}
-    return _unit_rows([sparse_mul([scalars], [m[i] for _, m in terms], one)[0]
-                       for i in range(dim)], ring)
+    return unit_rows([sparse_mul([scalars], [m[i] for _, m in terms])[0] for i in range(dim)],
+                     ring)
 
 
 def _finish_rep(name: str, n: int, dim: int, sigma_rows: list[Rows], roots) -> MatrixRep:
     """A representation of B_n over the Laurent ring from its generators' sparse
     rows, whose unit entries are ONE.
 
-    Each S is a root of prod (x - r) = x^d + ... + p_1 x + p_0, p_0 a unit, so
-    S^-1 = -(S^(d-1) + p_(d-1) S^(d-2) + ... + p_1) / p_0 inverts no matrix.
+    Each S is a root of prod (x - r) = x^d + c_1 x^(d-1) + ... + c_d, c_d a
+    unit, so S^-1 = -(S^(d-1) + c_1 S^(d-2) + ... + c_(d-1)) / c_d, with the
+    sum formed by matrix.horner_rows: no matrix is inverted.  Unit entries of
+    the inverses are ONE too.
     """
-    p = [ONE]
+    c = [ONE]
     for r in roots:
-        p = [x - r * y for x, y in zip([ZERO, *p], [*p, ZERO])]
-    scale = -RatFunc(ONE, p[0]).as_laurent()
+        c = [x - r * y for x, y in zip([*c, ZERO], [ZERO, *c])]
+    scale = -RatFunc(ONE, c[-1]).as_laurent()
     rows = {}
     for i, s in enumerate(sigma_rows, 1):
-        powers = [[{k: ONE} for k in range(dim)], s]
-        while len(powers) < len(roots):
-            powers.append(sparse_mul(powers[-1], powers[1], ONE))
-        terms = [(scale * c, m) for c, m in zip(p[1:], powers)]
-        rows[i, 1] = powers[1]
-        rows[i, -1] = _combine(dim, RING_LAURENT, terms, ONE)
+        rows[i, 1] = s
+        rows[i, -1] = unit_rows([{j: scale * e for j, e in row.items()}
+                                 for row in horner_rows(s, c)], RING_LAURENT)
     return MatrixRep(name, n, dim, RING_LAURENT, rows)
 
 
@@ -174,12 +166,11 @@ def _extend(base: MatrixRep, name: str, a, b, c) -> MatrixRep:
     """
     rational = any(x and isinstance(x, (RatFunc, Fraction)) for x in (a, b, c))
     ring = RING_RATFUNC if rational else base.ring
-    one = _ONES[base.ring]
-    ident = [{i: one} for i in range(base.dim)]
-    rows = {letter: m if ring == base.ring else _combine(base.dim, ring, ((1, m),), one)
+    ident = [{i: ONES[base.ring]} for i in range(base.dim)]
+    rows = {letter: m if ring == base.ring else _combine(base.dim, ring, ((1, m),))
             for letter, m in base.rows.items() if letter[1]}
     rows.update({(i, 0): _combine(base.dim, ring, ((a, base.rows[i, 1]), (b, base.rows[i, -1]),
-                                                   (c, ident)), one)
+                                                   (c, ident)))
                  for i in range(1, base.n)})
     return MatrixRep(name, base.n, base.dim, ring, rows)
 
@@ -283,7 +274,7 @@ def exterior_square_burau(n: int) -> MatrixRep:
     since the exterior square of an inverse is the inverse of the exterior square.
     """
     return MatrixRep("wedge-burau", n, n * (n - 1) // 2, RING_LAURENT,
-                     {letter: _unit_rows(_wedge_rows(rows, RING_LAURENT), RING_LAURENT)
+                     {letter: unit_rows(_wedge_rows(rows, RING_LAURENT), RING_LAURENT)
                       for letter, rows in burau(n, "q").rows.items()})
 
 
@@ -319,9 +310,9 @@ def rep_rows(rep: MatrixRep, word: BraidWord) -> list[dict]:
     """
     if word.n != rep.n:
         raise ValueError(f"word is on {word.n} strands, representation on {rep.n}")
-    one = _ONES[rep.ring]
+    one = ONES[rep.ring]
     return word_image(word, rep.letter_rows, lambda: [{i: one} for i in range(rep.dim)],
-                      partial(sparse_mul, one=one))
+                      sparse_mul)
 
 
 def rep_apply(rep: MatrixRep, word: BraidWord) -> RingMatrix:
@@ -496,9 +487,6 @@ class LinComb:
                 s = out.get(key)
                 out[key] = c if s is None else s + c
         return type(self)(self.n, out)
-
-    def __rmul__(self, other):
-        return self.scalar_mul(other)
 
     @classmethod
     def unit(cls, n: int) -> LinComb:

@@ -147,9 +147,6 @@ class LaurentPoly:
             out[exps[:width]] = c
         return out
 
-    def variables(self) -> set[str]:
-        return variables_of((self,))
-
     def degree(self, name: str) -> int:
         """Maximum exponent of `name` across terms (0 for the zero polynomial)."""
         shift = _SHIFTS[_VAR_INDEX[name]]
@@ -655,12 +652,6 @@ class RatFunc:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _coerce_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = _coerce_ratfunc(other)
         if other is NotImplemented:
@@ -677,19 +668,6 @@ class RatFunc:
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return RatFunc(self.num ** exponent, self.den ** exponent)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):

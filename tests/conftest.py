@@ -1,4 +1,8 @@
+import importlib.util
 import random
+import sys
+from functools import cache
+from pathlib import Path
 
 from braidrep.braid import BraidWord
 from braidrep.matrix import RingMatrix
@@ -37,3 +41,14 @@ def rand_poly(rng: random.Random, names=("q", "t"), terms=3, max_exp=2,
             term = term * variable(name, rng.randint(low, max_exp))
         poly = poly + term
     return poly
+
+
+@cache
+def benchmark_module(name: str):
+    """perfbench/<name>.py, loaded read-only by path; the benchmark is no package."""
+    spec = importlib.util.spec_from_file_location(
+        f"_perfbench_{name}", Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module

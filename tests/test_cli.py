@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import io
 import json
 import random
@@ -7,14 +6,16 @@ import shlex
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from functools import cache
 from itertools import islice
 from pathlib import Path
 
 import pytest
 
+from braidrep import cli
 from braidrep.cli import MAX_DIGITS, MAX_MATRIX_STRANDS, main
-from conftest import reduced_classical_word
+from braidrep.matrix import sparse_rows
+from braidrep.reps import MatrixRep, lkb, verify_relations
+from conftest import benchmark_module, reduced_classical_word
 
 
 def run(capsys, *argv):
@@ -84,6 +85,56 @@ def test_markov_json(capsys):
     assert data["seed"] == {"n": 2, "word": "1"}
     assert "q^6*t^2 - w^3" in data["polys"]
     assert data["witnesses"]["q^2*t - w"] == {"n": 2, "word": "1"}
+
+
+def test_markov_text(capsys):
+    code, out, _ = run(
+        capsys, "markov", "--n", "2", "--word", "1", "--depth", "1",
+        "--max-strands", "3", "--max-len", "8", "--out", "text",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"{len(lines) - 1} polynomials"
+    assert "q^2*t - w  <-  n=2 word=1" in lines
+    assert "q^6*t^2 - w^3  <-  n=3 word=1 2" in lines
+
+
+def test_defect_text(capsys):
+    """The text form prints both defects' rows, as the JSON form gives them."""
+    code, out, _ = run(capsys, "defect", "--n", "3", "--word", "1", "--out", "text")
+    assert code == 0
+    data = json.loads(run(capsys, "defect", "--n", "3", "--word", "1")[1])
+    blocks = ["\n".join(f"[{', '.join(row)}]" for row in data[key]["rows"])
+              for key in ("additive", "multiplicative")]
+    assert out == f"additive:\n{blocks[0]}\nmultiplicative:\n{blocks[1]}\n"
+    assert out.startswith("additive:\n[q^2*t + q, 0, 0]\n")
+
+
+def test_failing_verify_text_shows_each_difference(capsys, monkeypatch):
+    """A failing report prints its summary, then a FAIL line and the difference
+    matrix for each failing relation, and exits 1."""
+    rep = lkb(3)
+    rows = [list(r) for r in rep.sigma_image(1).rows]
+    rows[0][1] = rows[0][1] + 1
+    corrupted = MatrixRep("corrupted", 3, 3, rep.ring, {**rep.rows, (1, 1): sparse_rows(rows)})
+    report = verify_relations(corrupted)
+    monkeypatch.setattr(cli, "verify_relations", lambda _: report)
+    code, out, _ = run(capsys, "verify", "--rep", "lkb", "--n", "3", "--out", "text")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == report.summary() and not report.all_ok
+    failure = report.failures[0]
+    assert lines[1] == f"FAIL {failure.label}: {failure.lhs} vs {failure.rhs}"
+    matrix_lines = str(failure.difference).splitlines()
+    assert lines[2] == "  difference: " + matrix_lines[0]
+    assert lines[3:2 + len(matrix_lines)] == matrix_lines[1:]
+    assert len(lines) == 1 + sum(1 + len(str(c.difference).splitlines()) for c in report.failures)
+
+
+def test_param_without_equals_rejected(capsys):
+    code, out, err = run(capsys, "verify", "--rep", "lkb-ext", "--n", "3", "--param", "u")
+    assert (code, out) == (2, "")
+    assert err == "error: bad --param 'u'; expected name=value\n"
 
 
 def test_defect_json(capsys):
@@ -411,19 +462,9 @@ WORKLOAD_DIGESTS = {
 TESTS = Path(__file__).resolve().parent
 
 
-@cache
-def _benchmark_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "_perfbench_workloads", TESTS.parent / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("name", sorted(WORKLOAD_DIGESTS))
 def test_benchmark_workload_output_is_pinned(name):
-    workloads = _benchmark_workloads()
+    workloads = benchmark_module("workloads")
     ops = [op.argv for rnd in islice(workloads.rounds(workloads.WORKLOADS[name], 1), 12)
            for op in rnd.ops]
     digest, count, argv_digest = WORKLOAD_DIGESTS[name]
@@ -440,6 +481,37 @@ def test_benchmark_workload_output_is_pinned(name):
         if first_diff is None and hashlib.sha256(record).hexdigest()[:8] != want:
             first_diff = shlex.join(argv)
     assert total.hexdigest()[:16] == digest, f"first differing operation: braidrep {first_diff}"
+
+
+def _large_n_ops(rng: random.Random) -> list[tuple[str, ...]]:
+    """Seeded argv at n = 6..9, above the benchmark's matrix commands (n <= 5)."""
+    workloads = benchmark_module("workloads")
+    ops = []
+    for n in range(6, 10):
+        classical = [workloads.letters_text(workloads.random_word(rng, n, k)) for k in (6, 4)]
+        singular = workloads.letters_text(workloads.singular_word(rng, n, 4))
+        ops += [("charpoly", "--n", str(n), "--word", classical[0]),
+                ("rep", "--rep", "lkb-ext", "--n", str(n), "--word", singular),
+                ("defect", "--n", str(n), "--word", classical[1]),
+                ("det-tau", "--n", str(n)),
+                ("verify", "--rep", "wedge-burau", "--n", str(n))]
+    return [argv + ("--out", "json") for argv in ops]
+
+
+def test_large_strand_counts_pass_the_independent_oracle(capsys):
+    """perfbench/oracle.py, which imports nothing from braidrep, accepts every
+    output at n = 6..9: charpolys and defects against its own LKB and Burau
+    images modulo a 61-bit prime, lkb-ext images, det-tau against the closed
+    form, and wedge-Burau relation reports.  On a 2-core x86-64 host a
+    6-letter charpoly at n = 8 or 9 takes 0.2-2.8 s by word; of the argv seeds
+    1-6, 6 keeps this test near 1 s (seed 5 took 4.8 s)."""
+    checker = benchmark_module("oracle").Checker(random.Random("oracle/large-n"))
+    ops = _large_n_ops(random.Random(6))
+    assert len(ops) == 20
+    for argv in ops:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert getattr(checker, "check_" + argv[0].replace("-", "_"))(argv, out) is None, argv
 
 
 def test_charpoly_at_nine_strands_pinned_and_fast(capsys):

@@ -112,6 +112,61 @@ def test_product_entries_that_cancel_are_the_ring_zero():
     assert zero_matrix(3) * a == zero_matrix(3)
 
 
+@pytest.mark.parametrize("ring", ["laurent", "ratfunc"])
+def test_sparse_mul_copies_the_left_entry_across_a_shared_one(ring):
+    """Where the right entry is the ring's shared one, the product entry is the
+    left entry itself; a unit that is another object is multiplied, as is
+    every other entry."""
+    lift = (lambda e: e) if ring == "laurent" else (lambda e: RatFunc(e, q + 1))
+    one = matrix.ONES[ring]
+    other_one = integer(1) if ring == "laurent" else RatFunc(integer(1))
+    assert other_one == one and other_one is not one
+    a, b, c = lift(q + 2 * t), lift(variable("t", -1) - q), lift(u * v)
+    left = [{0: a, 1: b}, {1: c}]
+    out = matrix.sparse_mul(left, [{0: one}, {0: b, 1: other_one}])
+    assert out == [{0: a + b * b, 1: b}, {0: c * b, 1: c}]
+    assert out[1][1] is not c
+    assert matrix.sparse_mul(left, [{0: b}, {1: one}])[1][1] is c
+
+
+def test_sparse_mul_of_integer_rows():
+    """Integer rows, as the extension solver multiplies them, hold no shared
+    one: every entry is a plain product."""
+    left = [{0: 2, 1: -3}, {1: 1}]
+    right = [{0: 1, 1: 5}, {0: 7, 1: 1}]
+    assert matrix.sparse_mul(left, right) == [{0: 2 - 21, 1: 10 - 3}, {0: 7, 1: 1}]
+    assert matrix.sparse_mul([{0: 2, 1: 1}], [{0: 1}, {0: -2}]) == [{}]
+
+
+def _dense_horner(a, coeffs):
+    """A^(d-1) + c_1 A^(d-2) + ... + c_(d-1) I as dense lists, from powers of A
+    formed by dense products and summed term by term."""
+    dim = len(a)
+    power = [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
+    total = [[ZERO] * dim for _ in range(dim)]
+    for c in reversed(coeffs[:-1]):  # c_(d-1) with A^0 first, c_0 = 1 with A^(d-1) last
+        total = [[x + c * y for x, y in zip(tr, pr)] for tr, pr in zip(total, power)]
+        power = _dense_product(power, a)
+    return total
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_horner_rows_match_dense_evaluation(seed):
+    """horner_rows against dense powers, for random coefficients and for
+    Berkowitz's, where A * B = -c_d I (Cayley-Hamilton)."""
+    rng = random.Random(seed)
+    dim = rng.randint(1, 4)
+    a = [[integer(e) if isinstance(e, int) else e for e in row]
+         for row in _random_sparse_rows(rng, dim, lambda: rand_poly(rng, terms=2, laurent=True))]
+    rows = sparse_rows(a)
+    randoms = [ONE] + [rand_poly(rng, terms=2, laurent=True) for _ in range(rng.randint(1, 4))]
+    charpoly = matrix._berkowitz(rows)
+    for coeffs in (randoms, charpoly):
+        assert matrix.horner_rows(rows, coeffs) == sparse_rows(_dense_horner(a, coeffs)), coeffs
+    b = RingMatrix.from_sparse(matrix.horner_rows(rows, charpoly), "laurent")
+    assert RingMatrix(a) * b == RingMatrix.identity(dim).scalar_mul(-charpoly[-1])
+
+
 def test_det_golden():
     assert LKB3_SIGMA1.det() == -t * q ** 3
     assert RingMatrix.identity(4).det() == 1

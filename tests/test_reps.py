@@ -8,9 +8,8 @@ import pytest
 from braidrep import reps
 from braidrep.braid import BraidWord, relation_set
 from braidrep.garside import NormalForm, nf_equal, nf_inverse, to_normal_form
-from braidrep.matrix import RingMatrix, sparse_mul, sparse_rows
+from braidrep.matrix import ONES, RingMatrix, sparse_mul, sparse_rows
 from braidrep.reps import (
-    _ONES,
     DegeneratePointError,
     GroupAlgebraElem,
     MatrixRep,
@@ -378,7 +377,7 @@ def test_letter_rows_are_the_sparse_images(build, base_of, coeffs):
     for n in (2, 3, 4):
         rep, base = build(n), base_of(n)
         taus = _dense_extension(base, *coeffs)
-        one = _ONES[rep.ring]
+        one = ONES[rep.ring]
         for i in range(1, n):
             for s, image in ((1, base.sigma_image(i)), (-1, base.letter_image((i, -1))),
                              (0, taus[i - 1])):
@@ -391,7 +390,9 @@ def test_letter_rows_are_the_sparse_images(build, base_of, coeffs):
 
 def test_stored_inverses_match_berkowitz():
     """Each inverse from the minimal polynomial equals the Berkowitz and
-    Cayley-Hamilton inverse of its generator, over the Laurent ring."""
+    Cayley-Hamilton inverse of its generator, over the Laurent ring.  Both
+    run matrix.horner_rows, on different polynomials; s * s_inv = I is the
+    check that shares no code with it."""
     for n in range(2, 8):
         for rep in (burau(n), burau(n, "q"), lkb(n)):
             one = RingMatrix.identity(rep.dim)
