@@ -7,9 +7,10 @@ of phi relative to psi at a word w is
     multiplicative: psi(w)^-1 * phi(w)
 
 so that psi(w) + additive = phi(w) and psi(w) * multiplicative = phi(w).
-Both come from one routine, defect_between.  A representation is a group
-homomorphism, so psi(w)^-1 = psi(w^-1): the product of the stored inverse
-generator images in reverse order, and no matrix is inverted.  The canonical
+Both come from one routine, defect_between, as RingMatrix operations on
+rep_apply images.  A representation is a group homomorphism, so
+psi(w)^-1 = psi(w^-1): the product of the stored inverse generator images
+in reverse order, and no matrix is inverted.  The canonical
 pair compares the Lawrence-Krammer-Bigelow representation (phi) against the
 exterior square of Burau in q (psi); both act on the pair basis of rank
 n(n-1)/2.
@@ -20,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import BraidWord
-from .matrix import RING_LAURENT, RING_RATFUNC, RingMatrix, sparse_mul, sparse_sub
-from .reps import MatrixRep, exterior_square_burau, lkb, rep_rows
+from .matrix import RingMatrix
+from .reps import MatrixRep, exterior_square_burau, lkb, rep_apply
 
 
 @dataclass(frozen=True)
@@ -38,13 +39,11 @@ def defect_between(phi: MatrixRep, psi: MatrixRep, word: BraidWord) -> DefectRes
     """
     if not word.is_classical:
         raise ValueError("defects are defined for classical words only")
-    ring = RING_RATFUNC if RING_RATFUNC in (phi.ring, psi.ring) else RING_LAURENT
-    phi_w = rep_rows(phi, word)
+    phi_w = rep_apply(phi, word)
     return DefectResult(
         word=word,
-        additive=RingMatrix.from_sparse(sparse_sub(phi_w, rep_rows(psi, word)), ring),
-        multiplicative=RingMatrix.from_sparse(sparse_mul(rep_rows(psi, word.inverse()), phi_w),
-                                              RING_RATFUNC),
+        additive=phi_w - rep_apply(psi, word),
+        multiplicative=(rep_apply(psi, word.inverse()) * phi_w).to_ratfunc(),
     )
 
 

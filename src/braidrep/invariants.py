@@ -15,15 +15,14 @@ The invariant is computed from half its coefficients.  Write
 det(x*I - A) = sum_k c_k x^(m-k) for the m x m LKB image A, so that
 c_k = (-1)^k e_k, e_k the elementary symmetric functions of its
 eigenvalues.  A Berkowitz run truncated at h = m // 2 (matrix._berkowitz
-with top = h) on the sparse rows of A (reps.rep_rows, so no RingMatrix is
-built) gives c_0 .. c_h, keeping h + 1 coefficients per trailing
-submatrix.  LKB is unitary for the involution bar: q -> 1/q, t -> 1/t
-(Budney, J. Knot Theory Ramifications 14, 2005), so A^-1 has the barred
-eigenvalues, e_(m-k) = det(A) * bar(e_k) and
-c_(m-k) = (-1)^m det(A) * bar(c_k).  det LKB(sigma_i) is (-q)^(n-2) * t*q^2,
-so det(A) is that monomial to the exponent sum of b, and the other half is
-one pass over packed keys.  RingMatrix.charpoly runs the same routine
-untruncated, for any matrix.
+with top = h) on the stored sparse rows of A (reps.rep_apply) gives
+c_0 .. c_h, keeping h + 1 coefficients per trailing submatrix.  LKB is
+unitary for the involution bar: q -> 1/q, t -> 1/t (Budney, J. Knot
+Theory Ramifications 14, 2005), so A^-1 has the barred eigenvalues,
+e_(m-k) = det(A) * bar(e_k) and c_(m-k) = (-1)^m det(A) * bar(c_k).
+det LKB(sigma_i) is (-q)^(n-2) * t*q^2, so det(A) is that monomial to the
+exponent sum of b, and the other half is one pass over packed keys.
+RingMatrix.charpoly runs the same routine untruncated, for any matrix.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 from .braid import BraidWord, conjugate, destabilize, free_reduce, sigma, stabilize
 from .garside import to_normal_form
 from .matrix import _berkowitz
-from .reps import lkb, rep_rows
+from .reps import lkb, rep_apply
 from .ring import (
     _UNIT,
     LaurentPoly,
@@ -96,7 +95,7 @@ def _lkb_charpoly(n: int, word: BraidWord) -> LaurentPoly:
     """det(A - w*I) = (-1)^m * sum_k c_k w^(m-k) for A = LKB(word) (module docstring)."""
     m = n * (n - 1) // 2
     h = m // 2
-    c = _berkowitz(rep_rows(lkb(n), word), h)
+    c = _berkowitz(rep_apply(lkb(n), word).sparse, h)
     # det(A) = det_sign * q^(n*s) * t^s.  The entries involve q and t only,
     # and the key 2*_UNIT - mono negates every exponent of mono, so the keys
     # of det(A) * bar(c_k) are det_key + _UNIT - mono: no product is formed.

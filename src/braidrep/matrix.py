@@ -15,9 +15,9 @@ difference on the same rows.
 Determinants, characteristic polynomials and inverses come from one
 division-free routine, Berkowitz's algorithm (Inf. Proc. Letters 18, 1984),
 which uses ring operations only; it can stop at any coefficient, as the LKB
-invariant does halfway.  It reads sparse rows, as reps.rep_rows returns them,
-so a word's image reaches it without being made dense, and it keeps its
-vectors as dicts over their nonzero entries.  Its one term-product loop is
+invariant does halfway.  It reads a matrix's stored sparse rows, so a word's
+image reaches it without being made dense, and it keeps its vectors as dicts
+over their nonzero entries.  Its one term-product loop is
 `ring.add_products`: every entry of its matrix-vector products and of its
 Toeplitz step is accumulated in one dict, with no polynomial built per
 product.  Every inverse, here and of reps' generators, is -B / c_d for the
@@ -25,8 +25,9 @@ rows B that one Horner routine, horner_rows, forms from a polynomial that
 vanishes at the matrix: here Berkowitz's coefficients by Cayley-Hamilton.
 Over the fraction field each row is first scaled to polynomial entries by a
 common denominator, and the denominators are divided out once at the end.  A
-RingMatrix is dense; from_sparse builds one from sparse rows where the API
-returns a matrix.
+RingMatrix is its sparse rows, which all of the above read and return;
+from_sparse wraps rows built elsewhere, such as a word's image, uncopied.
+Its dense view, RingMatrix.rows, is formed on access: to print or evaluate it.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ RING_RATFUNC = "ratfunc"
 _RATFUNC_ONE = RatFunc(ONE)
 # The unit entry of each ring's sparse rows, one shared object: sparse_mul tests it by identity.
 ONES = {RING_LAURENT: ONE, RING_RATFUNC: _RATFUNC_ONE}
+ZEROS = {RING_LAURENT: ZERO, RING_RATFUNC: RatFunc(ZERO)}
 
 
 class SingularMatrixError(ArithmeticError):
@@ -83,9 +85,10 @@ def _ring_of(rows: Sequence[Sequence]) -> str:
 
 
 class RingMatrix:
-    """Immutable square matrix over LaurentPoly or RatFunc entries."""
+    """Immutable square matrix over LaurentPoly or RatFunc entries, stored as its
+    sparse rows (see sparse_rows): entries of the ring's type, no zero stored."""
 
-    __slots__ = ("dim", "ring", "rows")
+    __slots__ = ("dim", "ring", "sparse")
 
     def __init__(self, rows: Sequence[Sequence], ring: str | None = None):
         dim = len(rows)
@@ -98,8 +101,8 @@ class RingMatrix:
         self.dim = dim
         self.ring = ring
         kind = LaurentPoly if ring == RING_LAURENT else RatFunc
-        self.rows = tuple(tuple(e if type(e) is kind else coerce_entry(ring, e) for e in row)
-                          for row in rows)
+        self.sparse = sparse_rows([[e if type(e) is kind else coerce_entry(ring, e) for e in row]
+                                   for row in rows])
 
     # -- constructors ---------------------------------------------------------
 
@@ -111,34 +114,43 @@ class RingMatrix:
         )
 
     @classmethod
-    def from_sparse(cls, rows: Sequence[Mapping], ring: str) -> RingMatrix:
-        """The matrix with these sparse rows (see sparse_rows) over ring."""
-        zero = coerce_entry(ring, 0)
-        return cls([[row.get(j, zero) for j in range(len(rows))] for row in rows], ring)
+    def from_sparse(cls, rows: list[dict], ring: str) -> RingMatrix:
+        """The matrix over ring with these sparse rows, a list kept uncopied: their
+        entries must be nonzero and of the ring's type, and they are only read."""
+        m = object.__new__(cls)
+        m.dim, m.ring, m.sparse = len(rows), ring, rows
+        return m
 
     # -- structure ------------------------------------------------------------
 
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """The dense rows, with the ring's zero in place, formed on each access."""
+        zero = ZEROS[self.ring]
+        return tuple(tuple(row.get(j, zero) for j in range(self.dim)) for row in self.sparse)
+
     def __getitem__(self, index: tuple[int, int]):
         i, j = index
-        return self.rows[i][j]
+        # range indexing raises IndexError out of range, as the dense row did.
+        return self.sparse[i].get(range(self.dim)[j], ZEROS[self.ring])
 
     def __eq__(self, other):
+        # Across rings too: a Laurent entry equals its fraction-field copy.
         if not isinstance(other, RingMatrix):
             return NotImplemented
-        if self.dim != other.dim:
-            return False
-        if self.ring == other.ring:
-            return self.rows == other.rows
-        a, b = self.to_ratfunc(), other.to_ratfunc()
-        return a.rows == b.rows
+        return self.dim == other.dim and self.sparse == other.sparse
 
     def __hash__(self):
-        # No ring tag: a Laurent matrix equals its fraction-field copy.
-        return hash(self.rows)
+        # No ring tag: a Laurent matrix equals its fraction-field copy, and
+        # their entries hash alike.
+        return hash(tuple(frozenset(row.items()) for row in self.sparse))
 
     def map_entries(self, fn: Callable, ring: str | None = None) -> RingMatrix:
-        return RingMatrix([[fn(e) for e in row] for row in self.rows],
-                          ring if ring is not None else self.ring)
+        """fn of each stored entry, over ring: zeros are not stored, so fn(0) must be 0.
+        fn returns entries of the ring's type; those that are zero are dropped."""
+        return RingMatrix.from_sparse([{j: x for j, e in row.items() if (x := fn(e))}
+                                       for row in self.sparse],
+                                      ring if ring is not None else self.ring)
 
     def to_ratfunc(self) -> RingMatrix:
         if self.ring == RING_RATFUNC:
@@ -146,7 +158,7 @@ class RingMatrix:
         return self.map_entries(RatFunc, RING_RATFUNC)
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.rows for e in row)
+        return not any(self.sparse)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -157,26 +169,24 @@ class RingMatrix:
             return self, other
         return self.to_ratfunc(), other.to_ratfunc()
 
-    def _entrywise(self, other, op: Callable) -> RingMatrix:
+    def __neg__(self):
+        return self.map_entries(operator.neg)
+
+    def __add__(self, other):
+        if not isinstance(other, RingMatrix):
+            return NotImplemented
+        return self - -other
+
+    def __sub__(self, other):
         if not isinstance(other, RingMatrix):
             return NotImplemented
         a, b = self._check_compatible(other)
-        return RingMatrix(
-            [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)],
-            a.ring,
-        )
-
-    def __add__(self, other):
-        return self._entrywise(other, operator.add)
-
-    def __sub__(self, other):
-        return self._entrywise(other, operator.sub)
+        return RingMatrix.from_sparse(sparse_sub(a.sparse, b.sparse), a.ring)
 
     def __mul__(self, other):
         if isinstance(other, RingMatrix):
             a, b = self._check_compatible(other)
-            return RingMatrix.from_sparse(sparse_mul(sparse_rows(a.rows), sparse_rows(b.rows)),
-                                          a.ring)
+            return RingMatrix.from_sparse(sparse_mul(a.sparse, b.sparse), a.ring)
         return self.scalar_mul(other)
 
     def __rmul__(self, other):
@@ -192,11 +202,10 @@ class RingMatrix:
 
     def det(self):
         """LaurentPoly over the Laurent ring, RatFunc over the fraction field."""
-        rows = sparse_rows(self.rows)
         if self.ring == RING_LAURENT:
-            return _det_laurent(rows)
+            return _det_laurent(self.sparse)
         # det(D*A) = det(D) * det(A) for the diagonal row scaling D.
-        rows, dens = _scale_rows(rows)
+        rows, dens = _scale_rows(self.sparse)
         return RatFunc(_det_laurent(rows), math.prod(dens, start=ONE))
 
     def inverse(self) -> RingMatrix:
@@ -206,31 +215,26 @@ class RingMatrix:
         A^-1 = -B / c_m for B = horner_rows(A, c).  Over the fraction field
         this runs on A' = D*A, and A^-1 = A'^-1 * D.
         """
-        a = sparse_rows(self.rows)
         if self.ring == RING_LAURENT:
-            dens = [ONE] * self.dim
+            a, dens = self.sparse, [ONE] * self.dim
         else:
-            a, dens = _scale_rows(a)
+            a, dens = _scale_rows(self.sparse)
         coeffs = _berkowitz(a)
         last = coeffs[-1]
         if not last:
             raise SingularMatrixError("matrix is singular")
-        zero = RatFunc(ZERO)
-        return RingMatrix(
-            [[RatFunc(-row[j] * d, last) if j in row else zero for j, d in enumerate(dens)]
-             for row in horner_rows(a, coeffs)],
-            RING_RATFUNC,
-        )
+        return RingMatrix.from_sparse([{j: RatFunc(-e * dens[j], last) for j, e in row.items()}
+                                       for row in horner_rows(a, coeffs)], RING_RATFUNC)
 
     def charpoly(self) -> LaurentPoly:
         """det(A - w*I) = (-1)^dim * det(w*I - A), expanded in canonical form."""
         if self.ring != RING_LAURENT:
             raise ValueError("characteristic polynomial requires Laurent entries")
-        if "w" in variables_of(e for row in self.rows for e in row):
+        if "w" in variables_of(e for row in self.sparse for e in row.values()):
             raise ValueError("matrix entries already involve 'w'")
         dim = self.dim
         total = sum_of_products((c, LaurentPoly.variable("w", dim - k))
-                                for k, c in enumerate(_berkowitz(sparse_rows(self.rows))))
+                                for k, c in enumerate(_berkowitz(self.sparse)))
         return -total if dim % 2 else total
 
     def evaluate(self, point: Mapping[str, Fraction | int]) -> tuple[tuple[Fraction, ...], ...]:

@@ -13,9 +13,8 @@ Conventions used throughout:
   construction (MatrixRep.rows): the builders write the generator rows
   directly, unit entries as the ring's shared one (matrix.ONES), each
   generator's inverse is matrix.horner_rows of its minimal polynomial, and
-  every other image is one _combine over nonzero entries.  A dense
-  RingMatrix of an image is formed only on request (letter_image,
-  sigma_image, tau_image).
+  every other image is one _combine over nonzero entries.  letter_image,
+  sigma_image and tau_image wrap the stored rows as a RingMatrix, uncopied.
 * The B_n constructors burau, lkb and exterior_square_burau are memoised:
   each is a pure function of its arguments and returns an immutable
   MatrixRep, so each generator's inverse is formed once per process;
@@ -26,11 +25,10 @@ Conventions used throughout:
   the case (1 - a, 0, a), lkb_ext the case (u, 0, v), and
   singular_extension_by_affine_combination takes (a, b, c) as given; the
   Birman map tau -> sigma - sigma^-1 is (1, -1, 0).
-* rep_rows folds a word over its letters' rows with matrix.sparse_mul,
-  which copies across unit entries instead of multiplying, and the product
-  stays sparse: verify_relations compares the two sides' rows, invariants
-  runs Berkowitz on them, and only rep_apply, which returns a RingMatrix,
-  and a failing relation's difference make one dense.
+* rep_apply folds a word over its letters' rows with matrix.sparse_mul,
+  which copies across unit entries instead of multiplying, and wraps the
+  product as a RingMatrix without a copy; a RingMatrix is its sparse rows,
+  so verify_relations, the LKB invariant and the defects all read one.
 * Elements of an algebra, such as the group algebra of B_n here and the
   Temperley-Lieb algebra in tl, are LinComb instances: sparse linear
   combinations of basis keys, one subclass per algebra.
@@ -46,7 +44,6 @@ coefficient is -q, the determinant of the local Burau block.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
@@ -56,8 +53,8 @@ from typing import Callable, Iterable, Mapping
 
 from .braid import BraidWord, Letter, relation_set, sigma, word_image
 from .garside import NormalForm, nf_inverse, nf_mul, to_normal_form
-from .matrix import (ONES, RING_LAURENT, RING_RATFUNC, RingMatrix, _det_laurent, coerce_entry,
-                     horner_rows, sparse_mul, sparse_rows, sparse_sub, unit_rows)
+from .matrix import (ONES, RING_LAURENT, RING_RATFUNC, RingMatrix, coerce_entry, horner_rows,
+                     sparse_mul, sparse_sub, unit_rows)
 from .ring import ONE, ZERO, LaurentPoly, RatFunc, integer, parse_poly, variable
 
 Param = LaurentPoly | Fraction | int | str | None
@@ -116,7 +113,7 @@ class MatrixRep:
             raise
 
     def letter_image(self, letter: Letter) -> RingMatrix:
-        """The letter's image as a dense matrix, formed on each call."""
+        """The letter's image: a RingMatrix over its stored rows, which it shares."""
         return RingMatrix.from_sparse(self.letter_rows(letter), self.ring)
 
     def sigma_image(self, i: int) -> RingMatrix:
@@ -297,27 +294,22 @@ def _wedge_rows(rows: Rows, ring: str) -> Rows:
 
 def wedge_square(m: RingMatrix) -> RingMatrix:
     """Functorial exterior square: entries are the 2x2 minors on the pair basis."""
-    return RingMatrix.from_sparse(_wedge_rows(sparse_rows(m.rows), m.ring), m.ring)
+    return RingMatrix.from_sparse(_wedge_rows(m.sparse, m.ring), m.ring)
 
 
 # -- applying representations and verifying relations ------------------------------
 
-def rep_rows(rep: MatrixRep, word: BraidWord) -> list[dict]:
-    """Sparse rows of a word's image: the product of its letters' rows in word order.
+def rep_apply(rep: MatrixRep, word: BraidWord) -> RingMatrix:
+    """Image of a word: the product of its letters' rows in word order.
 
-    A one-letter word gives the letter's shared rows (MatrixRep.letter_rows),
-    so the result is only read, never mutated.
+    A one-letter word's image holds the letter's shared rows
+    (MatrixRep.letter_rows), so the image is only read, never mutated.
     """
     if word.n != rep.n:
         raise ValueError(f"word is on {word.n} strands, representation on {rep.n}")
     one = ONES[rep.ring]
-    return word_image(word, rep.letter_rows, lambda: [{i: one} for i in range(rep.dim)],
-                      sparse_mul)
-
-
-def rep_apply(rep: MatrixRep, word: BraidWord) -> RingMatrix:
-    """Image of a word: the product of generator images in word order."""
-    return RingMatrix.from_sparse(rep_rows(rep, word), rep.ring)
+    rows = word_image(word, rep.letter_rows, lambda: [{i: one} for i in range(rep.dim)], sparse_mul)
+    return RingMatrix.from_sparse(rows, rep.ring)
 
 
 @dataclass(frozen=True)
@@ -349,13 +341,13 @@ class RelationReport:
         return f"{len(self.failures)} of {len(self.checks)} relations fail"
 
 
-def _verify(subject: str, n: int, monoid: str, image: Callable[[BraidWord], object],
-            difference: Callable[[object, object], object] = operator.sub) -> RelationReport:
+def _verify(subject: str, n: int, monoid: str,
+            image: Callable[[BraidWord], object]) -> RelationReport:
     """Push every defining relation through `image`; failures carry the difference.
 
     `image` maps a word to a value in canonical form, so a relation holds
-    exactly when its two sides compare equal with `==`; the difference of
-    the two sides is formed only for a relation that fails.
+    exactly when its two sides compare equal with `==`; the difference
+    lhs - rhs is formed only for a relation that fails.
     """
     checks = []
     for rel in relation_set(n, monoid):
@@ -363,7 +355,7 @@ def _verify(subject: str, n: int, monoid: str, image: Callable[[BraidWord], obje
         ok = lhs == rhs
         checks.append(
             RelationCheck(rel.label, str(rel.lhs), str(rel.rhs), ok,
-                          None if ok else difference(lhs, rhs))
+                          None if ok else lhs - rhs)
         )
     return RelationReport(subject, monoid, tuple(checks))
 
@@ -371,26 +363,22 @@ def _verify(subject: str, n: int, monoid: str, image: Callable[[BraidWord], obje
 def verify_relations(rep: MatrixRep) -> RelationReport:
     """Check every defining relation instance symbolically; failures carry the difference.
 
-    The sides are compared as sparse rows, which hold no zero entry; a
-    failure's difference is the RingMatrix rep_apply(lhs) - rep_apply(rhs).
+    The sides are rep_apply images, compared by their sparse rows, which hold
+    no zero entry.
     """
-    def difference(lhs: list[dict], rhs: list[dict]) -> RingMatrix:
-        return RingMatrix.from_sparse(sparse_sub(lhs, rhs), rep.ring)
-
-    return _verify(rep.name, rep.n, "SMn" if rep.has_tau else "Bn",
-                   partial(rep_rows, rep), difference)
+    return _verify(rep.name, rep.n, "SMn" if rep.has_tau else "Bn", partial(rep_apply, rep))
 
 
 # -- determinants of the singular images --------------------------------------------
 
 def det_tau_symbolic(n: int) -> LaurentPoly:
     """Expanded determinant of the first singular image of the LKB extension."""
-    return _det_laurent(lkb_ext(n).letter_rows((1, 0)))
+    return lkb_ext(n).tau_image(1).det()
 
 
 def det_tau_all_equal(n: int) -> bool:
     rep = lkb_ext(n)
-    dets = {_det_laurent(rep.letter_rows((i, 0))) for i in range(1, n)}
+    dets = {rep.tau_image(i).det() for i in range(1, n)}
     return len(dets) == 1
 
 

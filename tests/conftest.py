@@ -4,6 +4,8 @@ import sys
 from functools import cache
 from pathlib import Path
 
+import pytest
+
 from braidrep.braid import BraidWord
 from braidrep.matrix import RingMatrix
 from braidrep.ring import ZERO, LaurentPoly, integer, variable
@@ -24,6 +26,20 @@ def reduced_classical_word(rng: random.Random, n: int, length: int) -> BraidWord
         if not letters or letters[-1] != (x[0], -x[1]):
             letters.append(x)
     return BraidWord(n, tuple(letters))
+
+
+@pytest.fixture
+def dense_views(monkeypatch):
+    """The matrices whose dense view, RingMatrix.rows, is read while the test runs."""
+    views = []
+    rows = RingMatrix.rows
+
+    def counting(m):
+        views.append(m)
+        return rows.fget(m)
+
+    monkeypatch.setattr(RingMatrix, "rows", property(counting))
+    return views
 
 
 def zero_matrix(dim: int, ring: str = "laurent") -> RingMatrix:

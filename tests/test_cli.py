@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import io
 import json
 import random
@@ -110,17 +111,20 @@ def test_defect_text(capsys):
     assert out.startswith("additive:\n[q^2*t + q, 0, 0]\n")
 
 
-def test_failing_verify_text_shows_each_difference(capsys, monkeypatch):
+def test_failing_verify_text_shows_each_difference(capsys, monkeypatch, dense_views):
     """A failing report prints its summary, then a FAIL line and the difference
-    matrix for each failing relation, and exits 1."""
+    matrix for each failing relation, and exits 1; only the printing forms a
+    dense view, one per difference."""
     rep = lkb(3)
     rows = [list(r) for r in rep.sigma_image(1).rows]
     rows[0][1] = rows[0][1] + 1
     corrupted = MatrixRep("corrupted", 3, 3, rep.ring, {**rep.rows, (1, 1): sparse_rows(rows)})
     report = verify_relations(corrupted)
     monkeypatch.setattr(cli, "verify_relations", lambda _: report)
+    dense_views.clear()
     code, out, _ = run(capsys, "verify", "--rep", "lkb", "--n", "3", "--out", "text")
     assert code == 1
+    assert dense_views == [c.difference for c in report.failures]
     lines = out.splitlines()
     assert lines[0] == report.summary() and not report.all_ok
     failure = report.failures[0]
@@ -481,6 +485,61 @@ def test_benchmark_workload_output_is_pinned(name):
         if first_diff is None and hashlib.sha256(record).hexdigest()[:8] != want:
             first_diff = shlex.join(argv)
     assert total.hexdigest()[:16] == digest, f"first differing operation: braidrep {first_diff}"
+
+
+def test_only_printed_matrices_are_made_dense(capsys, dense_views):
+    """Over the first round of each benchmark workload, and in text too, a
+    command forms a matrix's dense view (RingMatrix.rows) only to print it:
+    once for rep, twice for defect and never for the others."""
+    workloads = benchmark_module("workloads")
+    ops = [op.argv for name in ("markov", "word-problem", "singular")
+           for op in next(workloads.rounds(workloads.WORKLOADS[name], 1)).ops]
+    ops += [("charpoly", "--n", "3", "--word", "1 1 1 2"),
+            ("rep", "--rep", "lkb-ext", "--n", "3", "--word", "t1 -2", "--param", "u=1/2",
+             "--out", "text"),
+            ("defect", "--n", "3", "--word", "1 -2", "--out", "text")]
+    printed = {"rep": 1, "defect": 2}
+    commands = set()
+    for argv in ops:
+        dense_views.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert len(dense_views) == printed.get(argv[0], 0), argv
+        commands.add(argv[0] if argv[0] != "verify" else "verify " + argv[argv.index("--rep") + 1])
+    assert commands >= {"verify lkb-ext", "verify birman", "charpoly", "markov", "det-tau",
+                        "solve-ext", "nf", "tl", "rep", "defect"}
+
+
+def test_benchmark_tracer_sees_the_matrix_layers(capsys):
+    """perfbench/spans.py wraps every name it targets, and its word-image,
+    determinant and matrix-product layers count the work of the commands
+    that run through them."""
+    spans = benchmark_module("spans")
+
+    def resolve(mod: str, path: str):
+        obj = importlib.import_module(f"braidrep.{mod}")
+        for attr in path.split("."):
+            obj = getattr(obj, attr)
+        return obj
+
+    before = [resolve(mod, path) for _, mod, path in spans.TARGETS]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert [target for target, fn in zip(spans.TARGETS, before)
+                if resolve(*target[1:]) is fn] == []
+        for argv in (("verify", "--rep", "lkb-ext", "--n", "3"),
+                     ("charpoly", "--n", "3", "--word", "1 1 1 2"),
+                     ("det-tau", "--n", "3"),
+                     ("defect", "--n", "3", "--word", "1 -2")):
+            assert cli.main(list(argv)) == 0, argv
+            capsys.readouterr()
+    finally:
+        tracer.uninstall()
+    assert [resolve(mod, path) for _, mod, path in spans.TARGETS] == before
+    metrics = tracer.metrics()
+    for name in ("reps.apply.calls", "matrix.det.calls", "matrix.mul.calls"):
+        assert metrics[name][0] > 0, name
 
 
 def _large_n_ops(rng: random.Random) -> list[tuple[str, ...]]:

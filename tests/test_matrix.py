@@ -6,15 +6,18 @@ import pytest
 
 from braidrep import matrix
 from braidrep.braid import BraidWord
+from braidrep.defects import defect
 from braidrep.invariants import charpoly_invariant
-from braidrep.matrix import RingMatrix, SingularMatrixError, sparse_rows
+from braidrep.matrix import RingMatrix, SingularMatrixError, coerce_entry, sparse_rows
 from braidrep.reps import (
     GroupAlgebraElem,
+    MatrixRep,
     burau,
     exterior_square_burau,
     lkb,
+    lkb_ext,
     rep_apply,
-    rep_rows,
+    verify_relations,
 )
 from braidrep.ring import ONE, ZERO, LaurentPoly, RatFunc, integer, variable
 from conftest import rand_classical_word, rand_poly, zero_matrix
@@ -430,7 +433,7 @@ def _assert_berkowitz_matches_reference(rows):
 
 
 def test_berkowitz_matches_reference_on_word_images(monkeypatch):
-    """On rep_rows images, whose unit entries are the ring's shared one, and
+    """On rep_apply images, whose unit entries are the ring's shared one, and
     through det and inverse, against the reference put in the kernel's place."""
     rng = random.Random(13)
     for make in (burau, lkb, exterior_square_burau):
@@ -438,16 +441,15 @@ def test_berkowitz_matches_reference_on_word_images(monkeypatch):
             # An 8-letter LKB image at n = 5 takes seconds per Berkowitz run.
             top = 5 if make is lkb and n == 5 else 8
             for length in (rng.randint(1, top - 1), top):
-                rows = rep_rows(make(n), rand_classical_word(rng, n, length))
-                _assert_berkowitz_matches_reference(rows)
-                image = RingMatrix.from_sparse(rows, "laurent")
+                image = rep_apply(make(n), rand_classical_word(rng, n, length))
+                _assert_berkowitz_matches_reference(image.sparse)
                 det, inverse = image.det(), image.inverse()
                 with monkeypatch.context() as patch:
                     patch.setattr(matrix, "_berkowitz", _ref_berkowitz_sparse)
                     assert image.det() == det and image.inverse() == inverse
             # One-letter words give the letters' stored rows themselves.
             for letter in ((i, s) for i in range(1, n) for s in (1, -1)):
-                rows = rep_rows(make(n), BraidWord(n, (letter,)))
+                rows = rep_apply(make(n), BraidWord(n, (letter,))).sparse
                 assert rows is make(n).letter_rows(letter)
                 _assert_berkowitz_matches_reference(rows)
 
@@ -497,6 +499,82 @@ def test_equal_values_hash_alike():
         assert b == a
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+    # Seeded sparse matrices, built from dense rows, from their sparse rows and
+    # over the fraction field; one changed entry makes each of them unequal.
+    rng = random.Random(7)
+    for _ in range(12):
+        dim = rng.randint(1, 4)
+        dense = _random_sparse_rows(rng, dim, lambda: rand_poly(rng, terms=2, laurent=True))
+        built = RingMatrix(dense, "laurent")
+        same = (built, RingMatrix.from_sparse(sparse_rows(dense), "laurent"), built.to_ratfunc())
+        assert all(a == b and hash(a) == hash(b) for a in same for b in same)
+        assert len(set(same)) == 1
+        i, j = rng.randrange(dim), rng.randrange(dim)
+        dense[i][j] = dense[i][j] + 1
+        changed = RingMatrix(dense, "laurent")
+        for m in (changed, changed.to_ratfunc()):
+            assert all(a != m and m != a for a in same)
+
+
+def test_index_reads_the_ring_zero_inside_and_raises_outside():
+    for m in (LKB3_SIGMA1, LKB3_SIGMA1.to_ratfunc()):
+        kind = LaurentPoly if m.ring == "laurent" else RatFunc
+        for i, j in ((0, 1), (0, 2), (2, 0), (2, 2)):
+            assert type(m[i, j]) is kind and m[i, j] == 0 and not m[i, j]
+        assert m[2, 1] == m[-1, -2] == 1 and m[0, 0] == t * q ** 2
+        for index in ((3, 0), (0, 3), (-4, 0), (0, -4)):
+            with pytest.raises(IndexError):
+                m[index]
+
+
+def test_from_sparse_keeps_its_rows():
+    rows = [{0: q}, {1: t}]
+    m = RingMatrix.from_sparse(rows, "laurent")
+    assert m.sparse is rows and m == RingMatrix([[q, 0], [0, t]])
+
+
+def _stored_in_its_ring(m: RingMatrix) -> bool:
+    """Every stored entry is nonzero and of the matrix ring's type."""
+    kind = LaurentPoly if m.ring == "laurent" else RatFunc
+    return all(type(e) is kind and e for row in m.sparse for e in row.values())
+
+
+def test_to_ratfunc_and_scalar_mul_match_a_dense_reference():
+    rng = random.Random(5)
+    for _ in range(8):
+        dim = rng.randint(1, 4)
+        m = RingMatrix(_random_sparse_rows(rng, dim, lambda: rand_poly(rng, terms=2, laurent=True)),
+                       "laurent")
+        rat = RingMatrix([[RatFunc(e) for e in row] for row in m.rows], "ratfunc")
+        results = [(m.to_ratfunc(), rat)]
+        results += [(m.scalar_mul(s), RingMatrix([[s * e for e in row] for row in m.rows],
+                                                 "laurent"))
+                    for s in (0, 2, q - t)]
+        results += [(m.scalar_mul(s), RingMatrix([[coerce_entry("ratfunc", s) * e for e in row]
+                                                  for row in rat.rows], "ratfunc"))
+                    for s in (RatFunc(1, q + 1), Fraction(-1, 3))]
+        for got, expected in results:
+            assert got == expected and got.ring == expected.ring
+            assert got.to_json_dict() == expected.to_json_dict()
+            assert _stored_in_its_ring(got)
+        assert m.scalar_mul(0).sparse == [{}] * dim
+
+
+def test_library_matrices_store_entries_of_their_ring():
+    """The multiplicative defect, an image over the fraction field and the
+    differences of failing relations, in either ring."""
+    result = defect(3, BraidWord.parse(3, "1 -2"))
+    image = rep_apply(lkb_ext(3, Fraction(1, 2)), BraidWord.parse(3, "t1 2 -1 t2"))
+    assert (result.multiplicative.ring, image.ring) == ("ratfunc", "ratfunc")
+    matrices = [result.additive, result.multiplicative, image]
+    for rep in (lkb(3), lkb_ext(3, Fraction(1, 2))):
+        rows = [dict(row) for row in rep.letter_rows((1, 1))]
+        rows[0] = {**rows[0], 1: coerce_entry(rep.ring, 1)}
+        corrupted = MatrixRep("corrupted", 3, 3, rep.ring, {**rep.rows, (1, 1): rows})
+        report = verify_relations(corrupted)
+        assert report.failures
+        matrices += [c.difference for c in report.failures]
+    assert all(_stored_in_its_ring(m) for m in matrices)
 
 
 def test_dimension_mismatch_rejected():

@@ -325,10 +325,10 @@ def from_sparse_calls(monkeypatch):
     return calls
 
 
-def test_no_build_densifies(from_sparse_calls):
-    """Cold builds store sparse rows only and form no dense matrix; two equal
-    builds compare equal and hash alike, and one corrupted letter makes a
-    representation unequal."""
+def test_no_build_densifies(from_sparse_calls, dense_views):
+    """Cold builds store sparse rows only and form no matrix, dense or sparse;
+    two equal builds compare equal and hash alike, and one corrupted letter
+    makes a representation unequal."""
     for build in (burau, lkb, exterior_square_burau, burau_ext, lkb_ext,
                   lambda n: burau_ext(n, Fraction(1, 3)), lambda n: lkb_ext(n, Fraction(1, 2)),
                   lambda n: lkb_ext(n, 2, -1),
@@ -336,7 +336,7 @@ def test_no_build_densifies(from_sparse_calls):
         for cached in (burau, lkb, exterior_square_burau):
             cached.cache_clear()
         build(4)
-    assert from_sparse_calls == []
+    assert from_sparse_calls == [] and dense_views == []
     x, y = lkb_ext(3, 2, -1), lkb_ext(3, 2, -1)
     assert x is not y and x == y and hash(x) == hash(y)
     bad = [dict(row) for row in x.letter_rows((1, 0))]
