@@ -270,22 +270,11 @@ def artin_generator(n: int, i: int, sign: int = 1) -> FreeAuto:
         raise ValueError(f"generator index {i} out of range for n={n}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    images = []
-    for g in range(1, n + 1):
-        if sign == 1:
-            if g == i:
-                images.append(((i, 1), (i + 1, 1), (i, -1)))
-            elif g == i + 1:
-                images.append(((i, 1),))
-            else:
-                images.append(((g, 1),))
-        else:
-            if g == i:
-                images.append(((i + 1, 1),))
-            elif g == i + 1:
-                images.append(((i + 1, -1), (i, 1), (i + 1, 1)))
-            else:
-                images.append(((g, 1),))
+    images = [((g, 1),) for g in range(1, n + 1)]
+    if sign == 1:
+        images[i - 1], images[i] = ((i, 1), (i + 1, 1), (i, -1)), ((i, 1),)
+    else:
+        images[i - 1], images[i] = ((i + 1, 1),), ((i + 1, -1), (i, 1), (i + 1, 1))
     return FreeAuto(n, tuple(images))
 
 

@@ -10,11 +10,13 @@ Conventions used throughout:
   a, b, c) or pinned to exact rationals; a non-integer rational forces
   matrices over the fraction field.
 * A MatrixRep stores each letter's image once, as sparse rows built at
-  construction (MatrixRep.rows): the builders write the generator rows
-  directly, unit entries as the ring's shared one (matrix.ONES), each
-  generator's inverse is matrix.horner_rows of its minimal polynomial, and
-  every other image is one _combine over nonzero entries.  letter_image,
-  sigma_image and tau_image wrap the stored rows as a RingMatrix, uncopied.
+  construction (MatrixRep.rows): the builders write each generator as
+  identity rows with the rows at strands i, i + 1 overwritten (Burau's 2,
+  LKB's 2n - 3 pairs that meet i or i + 1), unit entries as the ring's
+  shared one (matrix.ONES); each generator's inverse is matrix.horner_rows
+  of its minimal polynomial, and every other image is one _combine over
+  nonzero entries.  letter_image, sigma_image and tau_image wrap the stored
+  rows as a RingMatrix, uncopied.
 * The B_n constructors burau, lkb and exterior_square_burau are memoised:
   each is a pure function of its arguments and returns an immutable
   MatrixRep, so each generator's inverse is formed once per process;
@@ -209,51 +211,29 @@ def burau_ext(n: int, a: Param = None) -> MatrixRep:
 
 # -- Lawrence-Krammer-Bigelow ----------------------------------------------------
 
-PairTerms = list[tuple[tuple[int, int], LaurentPoly]]
-
-
-def _pair_rows(n: int, image: Callable[[int, int], PairTerms]) -> Rows:
-    """Sparse rows on the pair basis: row (k, l) sums the (pair, value) terms of image(k, l)."""
-    index = {p: r for r, p in enumerate(pair_basis(n))}
-    rows = []
-    for k, l in index:
-        row = {}
-        for pair, value in image(k, l):
-            j = index[pair]
-            row[j] = row[j] + value if j in row else value
-        rows.append({j: row[j] for j in sorted(row) if row[j]})
-    return rows
-
-
-def _lkb_sigma_rows(n: int, i: int) -> Rows:
-    q, t = variable("q"), variable("t")
-
-    def image(k: int, l: int) -> PairTerms:
-        if k != i and k != i + 1 and l != i and l != i + 1:
-            return [((k, l), ONE)]
-        if k == i + 1:
-            return [((i, l), ONE)]
-        if k == i and l == i + 1:
-            return [((i, i + 1), t * q ** 2)]
-        if k == i and l > i + 1:
-            return [((i, i + 1), t * q * (q - 1)), ((i, l), 1 - q), ((i + 1, l), q)]
-        if l == i + 1 and k < i:
-            return [((k, i), ONE)]
-        if l == i and k < i:
-            return [((k, i), 1 - q), ((k, i + 1), q), ((i, i + 1), q * (q - 1))]
-        raise AssertionError((k, l, i))  # pragma: no cover - the cases are exhaustive
-
-    return _pair_rows(n, image)
-
-
 @cache
 def lkb(n: int) -> MatrixRep:
-    """Lawrence-Krammer-Bigelow representation on the pair basis, over Z[q^{+-1}, t^{+-1}]."""
+    """Lawrence-Krammer-Bigelow representation on the pair basis, over Z[q^{+-1}, t^{+-1}].
+
+    Krammer's sigma_i is the identity except on the 2n - 3 pairs that meet i or i + 1.
+    """
     if n < 2:
         raise ValueError("strand count must be at least 2")
     q, t = variable("q"), variable("t")
-    return _finish_rep("lkb", n, n * (n - 1) // 2, [_lkb_sigma_rows(n, i) for i in range(1, n)],
-                       (ONE, -q, t * q ** 2))
+    index = {p: r for r, p in enumerate(pair_basis(n))}
+    sigma_rows = []
+    for i in range(1, n):
+        rows = [{r: ONE} for r in range(len(index))]
+        c = index[i, i + 1]
+        rows[c] = {c: t * q ** 2}
+        for l in range(i + 2, n + 1):
+            a, b = index[i, l], index[i + 1, l]
+            rows[a], rows[b] = {c: t * q * (q - 1), a: 1 - q, b: q}, {a: ONE}
+        for k in range(1, i):
+            a, b = index[k, i], index[k, i + 1]
+            rows[a], rows[b] = {a: 1 - q, b: q, c: q * (q - 1)}, {a: ONE}
+        sigma_rows.append(rows)
+    return _finish_rep("lkb", n, len(index), sigma_rows, (ONE, -q, t * q ** 2))
 
 
 def lkb_ext(n: int, u: Param = None, v: Param = None) -> MatrixRep:

@@ -139,45 +139,30 @@ def compose_diagrams(top: TLDiagram, bottom: TLDiagram) -> tuple[TLDiagram, int]
     """Stack top over bottom, gluing the middle; returns (diagram, closed loops)."""
     if top.n != bottom.n:
         raise ValueError("strand count mismatch")
-    n = top.n
-    m1, m2 = top.match, bottom.match
-    result = [-1] * (2 * n)
-    visited_mid = [False] * n
-
-    def walk(side: int, idx: int) -> int:
-        # side 1 = inside top diagram, side 2 = inside bottom diagram
-        while True:
-            nxt = (m1 if side == 1 else m2)[idx]
-            if side == 1:
-                if nxt < n:
-                    return nxt
-                visited_mid[nxt - n] = True
-                side, idx = 2, nxt - n
-            else:
-                if nxt >= n:
-                    return nxt
-                visited_mid[nxt] = True
-                side, idx = 1, nxt + n
-
+    n, m = top.n, (top.match, bottom.match)
+    result, passed = [-1] * (2 * n), [False] * n
+    # Middle point j is top's point n + j and bottom's point j.  A walk from an
+    # outer point alternates diagrams (side 0 is top, 1 bottom) until it reaches
+    # an outer point: one below n in top, or from n on in bottom.
     for start in range(2 * n):
-        if result[start] != -1:
-            continue
-        end = walk(1 if start < n else 2, start)
-        result[start] = end
-        result[end] = start
+        if result[start] < 0:
+            side = start // n
+            end = m[side][start]
+            while end // n != side:
+                passed[end % n] = True
+                end, side = m[1 - side][end % n + n * side], 1 - side
+            result[start], result[end] = end, start
+    # The middle points no walk passed lie on closed loops: top arc, bottom arc, ...
     loops = 0
-    for i in range(n):
-        if visited_mid[i]:
-            continue
-        loops += 1
-        j = i
-        while True:
-            visited_mid[j] = True
-            up = m1[n + j]          # follow the arc in the top diagram
-            visited_mid[up - n] = True
-            j = m2[up - n]          # then the arc in the bottom diagram
-            if visited_mid[j] and j == i:
-                break
+    for first in range(n):
+        if not passed[first]:
+            loops += 1
+            j = first
+            while not passed[j]:
+                passed[j] = True
+                k = m[0][n + j] - n
+                passed[k] = True
+                j = m[1][k]
     return TLDiagram._planar(n, tuple(result)), loops
 
 

@@ -73,13 +73,19 @@ def test_relation_set_rejects_bad_input():
 
 
 def test_artin_generator_images():
-    a1 = artin_generator(3, 1)
-    assert auto_apply(a1, ((1, 1),)) == ((1, 1), (2, 1), (1, -1))
-    assert auto_apply(a1, ((2, 1),)) == ((1, 1),)
-    assert auto_apply(a1, ((3, 1),)) == ((3, 1),)
-    inv = artin_generator(3, 1, -1)
-    assert auto_compose(a1, inv) == FreeAuto.identity(3)
-    assert auto_compose(inv, a1) == FreeAuto.identity(3)
+    """sigma_i: x_i -> x_i x_(i+1) x_i^-1, x_(i+1) -> x_i; sigma_i^-1: x_i -> x_(i+1),
+    x_(i+1) -> x_(i+1)^-1 x_i x_(i+1); both fix every other strand and are inverse."""
+    for n in range(2, 7):
+        identity = FreeAuto.identity(n)
+        for i in range(1, n):
+            up, down = artin_generator(n, i), artin_generator(n, i, -1)
+            x, y = (i, 1), (i + 1, 1)
+            assert auto_apply(up, (x,)) == (x, y, (i, -1)) and auto_apply(up, (y,)) == (x,)
+            assert auto_apply(down, (x,)) == (y,)
+            assert auto_apply(down, (y,)) == ((i + 1, -1), x, y)
+            for g in set(range(1, n + 1)) - {i, i + 1}:
+                assert auto_apply(up, ((g, 1),)) == auto_apply(down, ((g, 1),)) == ((g, 1),)
+            assert auto_compose(up, down) == identity and auto_compose(down, up) == identity
 
 
 def test_artin_satisfies_braid_relations():

@@ -406,6 +406,9 @@ PINNED_OUTPUTS = [
     (("verify", "--rep", "wedge-burau", "--n", "6", "--out", "json"), "60d966214e0253e0"),
     (("nf", "--n", "1000", "--word", "1 2 -1"), "ace4acc1b29c8a34"),
     (("birman", "--n", "200", "--word", "1 -2 t3"), "35fca96ead60eda0"),
+    (("rep", "--rep", "lkb", "--n", "9", "--word", "1 -2 3 -4 5 -6 7 -8 -1 2 -3 4 -5 6 -7 8"),
+     "c7f82f9a0a304c28"),
+    (("rep", "--rep", "lkb", "--n", "2", "--word", "1 -1 1"), "fa9a30c10a38268c"),
 ]
 
 

@@ -23,6 +23,7 @@ from braidrep.reps import (
     exterior_square_burau,
     lkb,
     lkb_ext,
+    pair_basis,
     rep_apply,
     singular_extension_by_affine_combination,
     solve_extension_space,
@@ -130,6 +131,33 @@ def test_lkb_generator_goldens():
     rep4 = lkb(4)
     for i, expected in LKB4.items():
         assert rep4.sigma_image(i) == expected, f"n=4 sigma{i}"
+
+
+def _krammer_terms(i, k, l):
+    """Krammer's image of v_{kl} under sigma_i as (pair, entry) terms, pairs ascending."""
+    if not {k, l} & {i, i + 1}:
+        return [((k, l), 1)]
+    if k == i + 1:
+        return [((i, l), 1)]
+    if (k, l) == (i, i + 1):
+        return [((i, i + 1), t * q ** 2)]
+    if k == i:
+        return [((i, i + 1), t * q * (q - 1)), ((i, l), 1 - q), ((i + 1, l), q)]
+    if l == i + 1:
+        return [((k, i), 1)]
+    return [((k, i), 1 - q), ((k, i + 1), q), ((i, i + 1), q * (q - 1))]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_lkb_rows_follow_krammers_formula(n):
+    """Every stored sigma_i row equals Krammer's formula, entry by entry and in
+    column order, at every accepted strand count."""
+    basis = pair_basis(n)
+    for i in range(1, n):
+        for (k, l), row in zip(basis, lkb(n).letter_rows((i, 1)), strict=True):
+            terms = _krammer_terms(i, k, l)
+            assert list(row) == [basis.index(pair) for pair, _ in terms], (n, i, k, l)
+            assert list(row.values()) == [entry for _, entry in terms], (n, i, k, l)
 
 
 def test_lkb_inverse_by_multiplication():
