@@ -2,7 +2,7 @@
 
 Everything is computed symbolically over multivariate Laurent polynomial
 rings with arbitrary-precision integer coefficients; rational functions
-appear only through matrix inversion and rational parameter values.
+appear only through matrix inversion and non-integer rational parameters.
 """
 
 from .braid import (

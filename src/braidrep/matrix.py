@@ -405,5 +405,11 @@ def _dot(pairs: Sequence[tuple[int, LaurentPoly]], vec: Mapping[int, LaurentPoly
 
 
 def _det_laurent(rows: Sequence[Mapping[int, LaurentPoly]]) -> LaurentPoly:
-    c = _berkowitz(rows)[-1]
-    return -c if len(rows) % 2 else c
+    """det A: a row whose only entry a_kk is on the diagonal factors out as a_kk
+    times the minor without row and column k, and Berkowitz runs on the rest."""
+    index = {k: r for r, k in enumerate(k for k, row in enumerate(rows) if row.keys() != {k})}
+    factor = math.prod((row[k] for k, row in enumerate(rows) if k not in index), start=ONE)
+    if not index:
+        return factor
+    c = _berkowitz([{index[j]: e for j, e in rows[k].items() if j in index} for k in index])[-1]
+    return factor * (-c if len(index) % 2 else c)

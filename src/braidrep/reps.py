@@ -7,16 +7,15 @@ Conventions used throughout:
 * The rank-m module of the Lawrence-Krammer-Bigelow (LKB) representation has
   basis v_{ij}, 1 <= i < j <= n, ordered lexicographically; m = n(n-1)/2.
 * Representation parameters may be left symbolic (the ring variables u, v,
-  a, b, c) or pinned to exact rationals; a non-integer rational forces
-  matrices over the fraction field.
+  a, b, c) or pinned to exact rationals; a non-integer rational puts the
+  images over the fraction field, but no stored row (see the next bullets).
 * A MatrixRep stores each letter's image once, as sparse rows built at
   construction (MatrixRep.rows): the builders write each generator as
   identity rows with the rows at strands i, i + 1 overwritten (Burau's 2,
-  LKB's 2n - 3 pairs that meet i or i + 1), unit entries as the ring's
-  shared one (matrix.ONES); each generator's inverse is matrix.horner_rows
-  of its minimal polynomial, and every other image is one _combine over
-  nonzero entries.  letter_image, sigma_image and tau_image wrap the stored
-  rows as a RingMatrix, uncopied.
+  LKB's 2n - 3 pairs that meet i or i + 1), unit entries as the shared ONE
+  (matrix.ONES); each generator's inverse is matrix.horner_rows of its
+  minimal polynomial, and each tau one _combine over nonzero entries.
+  letter_image, sigma_image and tau_image are rep_apply's one-letter images.
 * The B_n constructors burau, lkb and exterior_square_burau are memoised:
   each is a pure function of its arguments and returns an immutable
   MatrixRep, so each generator's inverse is formed once per process;
@@ -26,11 +25,13 @@ Conventions used throughout:
   images S_i and S_i^-1, tau_i maps to a*S_i + b*S_i^-1 + c*I.  burau_ext is
   the case (1 - a, 0, a), lkb_ext the case (u, 0, v), and
   singular_extension_by_affine_combination takes (a, b, c) as given; the
-  Birman map tau -> sigma - sigma^-1 is (1, -1, 0).
+  Birman map tau -> sigma - sigma^-1 is (1, -1, 0).  It shares the base's
+  crossing rows, and stores each tau times an integer scale D (MatrixRep.scale).
 * rep_apply folds a word over its letters' rows with matrix.sparse_mul,
   which copies across unit entries instead of multiplying, and wraps the
   product as a RingMatrix without a copy; a RingMatrix is its sparse rows,
-  so verify_relations, the LKB invariant and the defects all read one.
+  so verify_relations, the LKB invariant and the defects all read one; over
+  the fraction field it then divides each entry by D^k for the word's k taus.
 * Elements of an algebra, such as the group algebra of B_n here and the
   Temperley-Lieb algebra in tl, are LinComb instances: sparse linear
   combinations of basis keys, one subclass per algebra.
@@ -55,9 +56,10 @@ from typing import Callable, Iterable, Mapping
 
 from .braid import BraidWord, Letter, relation_set, sigma, word_image
 from .garside import NormalForm, nf_inverse, nf_mul, to_normal_form
-from .matrix import (ONES, RING_LAURENT, RING_RATFUNC, RingMatrix, coerce_entry, horner_rows,
+from .matrix import (RING_LAURENT, RING_RATFUNC, RingMatrix, coerce_entry, horner_rows,
                      sparse_mul, sparse_sub, unit_rows)
-from .ring import ONE, ZERO, LaurentPoly, RatFunc, integer, parse_poly, variable
+from .ring import (ONE, ZERO, LaurentPoly, RatFunc, _over_int, _reduced, integer, parse_poly,
+                   variable)
 
 Param = LaurentPoly | Fraction | int | str | None
 Rows = list[dict]
@@ -91,9 +93,10 @@ class MatrixRep:
     """Generator images of a matrix representation of B_n or SM_n.
 
     rows maps each letter (i, s) to the sparse rows of its image: s = 1 and
-    -1 for every i, and s = 0 too for SM_n.  Unit entries are the ring's
-    shared one (matrix.ONES), and the rows are shared: read them only.  The
-    hash leaves rows out, so equal representations hash alike.
+    -1 for every i, and s = 0 too for SM_n, where a tau's are scale times its
+    image, so that they stay Laurent.  Unit entries are the shared ONE
+    (matrix.ONES), and the rows are shared: read them only.  The hash leaves
+    rows out, so equal representations hash alike.
     """
 
     name: str
@@ -101,6 +104,7 @@ class MatrixRep:
     dim: int
     ring: str
     rows: dict[Letter, Rows] = field(hash=False, repr=False)
+    scale: int = 1
 
     @property
     def has_tau(self) -> bool:
@@ -115,8 +119,8 @@ class MatrixRep:
             raise
 
     def letter_image(self, letter: Letter) -> RingMatrix:
-        """The letter's image: a RingMatrix over its stored rows, which it shares."""
-        return RingMatrix.from_sparse(self.letter_rows(letter), self.ring)
+        """The letter's image, rep_apply's of the one-letter word."""
+        return rep_apply(self, BraidWord(self.n, (letter,)))
 
     def sigma_image(self, i: int) -> RingMatrix:
         return self.letter_image((i, 1))
@@ -125,13 +129,13 @@ class MatrixRep:
         return self.letter_image((i, 0))
 
 
-def _combine(dim: int, ring: str, terms) -> Rows:
-    """Sparse rows of the sum of x * M over the (scalar x, sparse rows of M) terms, over
-    ring: one sparse_mul per row, over nonzero entries only.  Unit entries of the result
-    are the ring's shared one."""
-    scalars = {k: s for k, (x, _) in enumerate(terms) if (s := coerce_entry(ring, x))}
+def _combine(dim: int, terms) -> Rows:
+    """Sparse rows of the sum of x * M over the (Laurent scalar x, sparse rows of M)
+    terms: one sparse_mul per row, over nonzero entries only.  Unit entries of the
+    result are ONE."""
+    scalars = {k: s for k, (x, _) in enumerate(terms) if (s := coerce_entry(RING_LAURENT, x))}
     return unit_rows([sparse_mul([scalars], [m[i] for _, m in terms])[0] for i in range(dim)],
-                     ring)
+                     RING_LAURENT)
 
 
 def _finish_rep(name: str, n: int, dim: int, sigma_rows: list[Rows], roots) -> MatrixRep:
@@ -158,20 +162,19 @@ def _finish_rep(name: str, n: int, dim: int, sigma_rows: list[Rows], roots) -> M
 def _extend(base: MatrixRep, name: str, a, b, c) -> MatrixRep:
     """base extended to SM_n by tau_i -> a*S_i + b*S_i^-1 + c*I, for resolved a, b, c.
 
-    A zero coefficient adds no term; all three zero give the zero matrix.  A
-    rational coefficient puts the taus over the fraction field, and the
-    crossing images move there too; over the base's ring the extension shares
-    the base's crossing rows.
+    A zero coefficient adds no term; all three zero give the zero matrix.  The
+    crossing rows are the base's; a tau's are D times its image, D the scale:
+    the lcm of the non-integer rational coefficients' denominators, or 1.
     """
-    rational = any(x and isinstance(x, (RatFunc, Fraction)) for x in (a, b, c))
-    ring = RING_RATFUNC if rational else base.ring
-    ident = [{i: ONES[base.ring]} for i in range(base.dim)]
-    rows = {letter: m if ring == base.ring else _combine(base.dim, ring, ((1, m),))
-            for letter, m in base.rows.items() if letter[1]}
-    rows.update({(i, 0): _combine(base.dim, ring, ((a, base.rows[i, 1]), (b, base.rows[i, -1]),
-                                                   (c, ident)))
+    scale = lcm(*(x.denominator for x in (a, b, c) if isinstance(x, Fraction)))
+    ring = RING_RATFUNC if scale > 1 else base.ring
+    a, b, c = (int(x * scale) if isinstance(x, Fraction) else x * scale for x in (a, b, c))
+    ident = [{i: ONE} for i in range(base.dim)]
+    rows = {letter: m for letter, m in base.rows.items() if letter[1]}
+    rows.update({(i, 0): _combine(base.dim, ((a, base.rows[i, 1]), (b, base.rows[i, -1]),
+                                             (c, ident)))
                  for i in range(1, base.n)})
-    return MatrixRep(name, base.n, base.dim, ring, rows)
+    return MatrixRep(name, base.n, base.dim, ring, rows, scale)
 
 
 # -- Burau ---------------------------------------------------------------------
@@ -282,14 +285,20 @@ def wedge_square(m: RingMatrix) -> RingMatrix:
 def rep_apply(rep: MatrixRep, word: BraidWord) -> RingMatrix:
     """Image of a word: the product of its letters' rows in word order.
 
-    A one-letter word's image holds the letter's shared rows
-    (MatrixRep.letter_rows), so the image is only read, never mutated.
+    Over the Laurent ring a one-letter word's image holds the letter's shared
+    rows (MatrixRep.letter_rows), so the image is only read, never mutated.
+    Over the fraction field each entry is divided by scale^k for the word's k
+    taus, through ring._over_int with no polynomial gcd.
     """
     if word.n != rep.n:
         raise ValueError(f"word is on {word.n} strands, representation on {rep.n}")
-    one = ONES[rep.ring]
-    rows = word_image(word, rep.letter_rows, lambda: [{i: one} for i in range(rep.dim)], sparse_mul)
-    return RingMatrix.from_sparse(rows, rep.ring)
+    rows = word_image(word, rep.letter_rows, lambda: [{i: ONE} for i in range(rep.dim)], sparse_mul)
+    if rep.ring == RING_LAURENT:
+        return RingMatrix.from_sparse(rows, RING_LAURENT)
+    d = rep.scale ** sum(s == 0 for _, s in word.letters)
+    return RingMatrix.from_sparse([{j: _reduced(*_over_int(e, d)) if type(e) is LaurentPoly
+                                    else e / d for j, e in row.items()} for row in rows],
+                                  RING_RATFUNC)
 
 
 @dataclass(frozen=True)
@@ -482,15 +491,19 @@ class LinComb:
 
 
 class GroupAlgebraElem(LinComb):
-    """Finite linear combination of braids, keyed by Garside normal form."""
+    """Finite linear combination of braids, keyed by Garside normal form; a
+    coefficient is a RatFunc only where a denominator remains."""
 
     __slots__ = ()
 
     _identity = staticmethod(NormalForm.identity)
 
     @staticmethod
-    def _coeff(value) -> RatFunc:
-        return coerce_entry(RING_RATFUNC, value)
+    def _coeff(value) -> LaurentPoly | RatFunc:
+        if not isinstance(value, (Fraction, RatFunc)):
+            return coerce_entry(RING_LAURENT, value)
+        value = coerce_entry(RING_RATFUNC, value)
+        return value.num if value.den.is_one() else value
 
     @staticmethod
     def _basis_mul(k1: NormalForm, k2: NormalForm) -> tuple[NormalForm, None]:

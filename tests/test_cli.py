@@ -16,6 +16,7 @@ from braidrep import cli
 from braidrep.cli import MAX_DIGITS, MAX_MATRIX_STRANDS, main
 from braidrep.matrix import sparse_rows
 from braidrep.reps import MatrixRep, lkb, verify_relations
+from braidrep.ring import RatFunc
 from conftest import benchmark_module, reduced_classical_word
 
 
@@ -409,6 +410,19 @@ PINNED_OUTPUTS = [
     (("rep", "--rep", "lkb", "--n", "9", "--word", "1 -2 3 -4 5 -6 7 -8 -1 2 -3 4 -5 6 -7 8"),
      "c7f82f9a0a304c28"),
     (("rep", "--rep", "lkb", "--n", "2", "--word", "1 -1 1"), "fa9a30c10a38268c"),
+    # Rational parameters: group-algebra coefficients, three taus (denominator
+    # 27), a word with no tau and the empty word (both keep the ratfunc tag),
+    # and relation checks at n = 5.
+    (("birman", "--n", "4", "--word", "t1 -2 t3 t1", "--param", "a=1/2", "--param", "b=-2/3"),
+     "22cbc16e151e1aa1"),
+    (("rep", "--rep", "lkb-ext", "--n", "3", "--word", "t1 t2 t1 -1 t2", "--param", "u=2/3",
+      "--out", "text"), "c81ab3afd6fbc0e5"),
+    (("rep", "--rep", "burau-ext", "--n", "4", "--word", "-1 2", "--param", "a=1/2"),
+     "eea73cb976c74fc2"),
+    (("rep", "--rep", "lkb-ext", "--n", "3", "--word", "", "--param", "u=1/2"),
+     "f2fd02efea1aee58"),
+    (("verify", "--rep", "lkb-ext", "--n", "5", "--param", "u=3/7", "--param", "v=-2",
+      "--out", "text"), "5010a83bc817afe7"),
 ]
 
 
@@ -489,6 +503,28 @@ def test_benchmark_workload_output_is_pinned(name):
             first_diff = shlex.join(argv)
     assert total.hexdigest()[:16] == digest, f"first differing operation: braidrep {first_diff}"
 
+
+def test_singular_workload_adds_and_multiplies_no_fraction(capsys, monkeypatch):
+    """Over the first 2 rounds of the singular workload (seed 1), with its
+    rational lkb-ext checks, no RatFunc is added or multiplied, reflected
+    operators included: a rational parameter enters as one integer scale on
+    the taus, and group-algebra coefficients stay Laurent.  The count does not
+    depend on the machine."""
+    workloads = benchmark_module("workloads")
+    ops = [op.argv for rnd in islice(workloads.rounds(workloads.WORKLOADS["singular"], 1), 2)
+           for op in rnd.ops]
+    assert ("verify", "--rep", "lkb-ext", "--n", "4", "--param", "u=1/2", "--out", "json") in ops
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        def counted(self, other, op=getattr(RatFunc, name), name=name):
+            calls.append(name)
+            return op(self, other)
+        monkeypatch.setattr(RatFunc, name, counted)
+    for argv in ops:
+        assert run(capsys, *argv)[0] == 0, argv
+    assert calls == []
+    RatFunc(1, 2) * RatFunc(1, 3) + 1
+    assert calls == ["__mul__", "__add__"]
 
 def test_only_printed_matrices_are_made_dense(capsys, dense_views):
     """Over the first round of each benchmark workload, and in text too, a

@@ -432,6 +432,24 @@ def _assert_berkowitz_matches_reference(rows):
     assert rows == before
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_det_factors_out_rows_with_only_a_diagonal_entry(seed):
+    """Such rows planted in random sparse Laurent matrices, up to all of them,
+    which leaves no Berkowitz run: the determinant is the sign-corrected last
+    coefficient of an untruncated _berkowitz run on the whole matrix, and the
+    rows are left as they were.  So is the first tau's of lkb_ext(n)."""
+    rng = random.Random(seed)
+    dim = rng.randint(1, 7)
+    rows = sparse_rows(_random_sparse_rows(rng, dim, lambda: rand_poly(rng, terms=2, laurent=True)))
+    for k in rng.sample(range(dim), rng.randint(1, dim)):
+        rows[k] = {k: rand_poly(rng, terms=2, laurent=True) or q}
+    cases = [rows, lkb_ext(seed % 4 + 2).letter_rows((1, 0))]
+    for rows in cases:
+        before = [dict(row) for row in rows]
+        c = matrix._berkowitz(rows)[-1]
+        assert matrix._det_laurent(rows) == (-c if len(rows) % 2 else c)
+        assert rows == before
+
 def test_berkowitz_matches_reference_on_word_images(monkeypatch):
     """On rep_apply images, whose unit entries are the ring's shared one, and
     through det and inverse, against the reference put in the kernel's place."""
@@ -570,7 +588,8 @@ def test_library_matrices_store_entries_of_their_ring():
     for rep in (lkb(3), lkb_ext(3, Fraction(1, 2))):
         rows = [dict(row) for row in rep.letter_rows((1, 1))]
         rows[0] = {**rows[0], 1: coerce_entry(rep.ring, 1)}
-        corrupted = MatrixRep("corrupted", 3, 3, rep.ring, {**rep.rows, (1, 1): rows})
+        corrupted = MatrixRep("corrupted", 3, 3, rep.ring, {**rep.rows, (1, 1): rows},
+                              scale=rep.scale)
         report = verify_relations(corrupted)
         assert report.failures
         matrices += [c.difference for c in report.failures]

@@ -4,6 +4,8 @@ from functools import reduce
 from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from braidrep import reps
 from braidrep.braid import BraidWord, relation_set
@@ -286,10 +288,17 @@ def test_zero_parameters_match_the_affine_formula(n, case):
 
 
 def _assert_entries_in_the_ring(rep):
-    """Every stored entry, crossings' included, is of the representation's ring."""
+    """Every stored entry, crossings' included, is Laurent, and a tau's rows are
+    the representation's scale times its image; every letter image holds
+    entries of the representation's ring."""
     kind = LaurentPoly if rep.ring == "laurent" else RatFunc
-    assert all(type(e) is kind for rows in rep.rows.values() for row in rows
-               for e in row.values()), rep.name
+    assert rep.ring == "ratfunc" or rep.scale == 1
+    for letter, rows in rep.rows.items():
+        assert all(type(e) is LaurentPoly for row in rows for e in row.values()), rep.name
+        image = rep.letter_image(letter)
+        assert all(type(e) is kind for row in image.sparse for e in row.values()), rep.name
+        assert rows == image.scalar_mul(rep.scale if letter[1] == 0 else 1).sparse, \
+            (rep.name, letter)
 
 
 def test_affine_extension_with_zero_coefficients():
@@ -373,13 +382,20 @@ def test_no_build_densifies(from_sparse_calls, dense_views):
 
 
 def test_extension_shares_its_base_crossing_rows():
-    """Over the base's ring an extension reuses the base's sparse crossing rows;
-    a rational parameter moves the crossings to the fraction field, so not there."""
+    """Every extension reuses the base's sparse crossing rows, also over the
+    fraction field, where only its taus carry the scale."""
     for letter in ((1, 1), (3, -1)):
         assert lkb_ext(4).letter_rows(letter) is lkb(4).letter_rows(letter)
         assert burau_ext(4).letter_rows(letter) is burau(4, "t").letter_rows(letter)
         assert burau_ext(4).letter_rows(letter) is burau(4).letter_rows(letter)
-        assert lkb_ext(4, Fraction(1, 2)).letter_rows(letter) is not lkb(4).letter_rows(letter)
+        assert lkb_ext(4, Fraction(1, 2)).letter_rows(letter) is lkb(4).letter_rows(letter)
+    half = lkb_ext(4, Fraction(1, 2))
+    assert half.scale == 2 and all(
+        RingMatrix.from_sparse(half.letter_rows((i, 0)), "laurent") == half.tau_image(i) * 2
+        for i in (1, 2, 3))
+    assert {rep.scale for rep in (lkb(4), burau(4), exterior_square_burau(4), lkb_ext(4),
+                                  burau_ext(4), lkb_ext(4, 2, Fraction(-3)),
+                                  singular_extension_by_affine_combination(lkb(4), 1, -1, 0))} == {1}
 
 
 def test_burau_default_variable_is_one_cache_entry():
@@ -398,22 +414,28 @@ def test_burau_default_variable_is_one_cache_entry():
 ], ids=["lkb-ext", "burau-ext", "lkb-ext-half", "burau-ext-third", "lkb-ext-ints",
         "lkb-ext-rational"])
 def test_letter_rows_are_the_sparse_images(build, base_of, coeffs):
-    """Every letter's stored rows are the nonzero entries of its image, with
-    each unit entry the ring's shared one: for a tau the image of the dense
-    reference _dense_extension, for a crossing the base's image in the
-    extension's ring."""
+    """Every letter's stored rows are Laurent: the nonzero entries of its image,
+    times the scale D, the lcm of the rational coefficients' denominators, for
+    a tau; each unit entry is the shared ONE.  letter_image gives the image
+    itself in the ring's entry type: for a tau the dense reference
+    _dense_extension, for a crossing the base's image."""
+    scale = lcm(*(x.denominator for x in coeffs if isinstance(x, Fraction)))
     for n in (2, 3, 4):
         rep, base = build(n), base_of(n)
+        assert rep.scale == scale and rep.ring == ("laurent" if scale == 1 else "ratfunc")
         taus = _dense_extension(base, *coeffs)
-        one = ONES[rep.ring]
+        kind = LaurentPoly if rep.ring == "laurent" else RatFunc
         for i in range(1, n):
-            for s, image in ((1, base.sigma_image(i)), (-1, base.letter_image((i, -1))),
-                             (0, taus[i - 1])):
-                if rep.ring == "ratfunc":
-                    image = image.to_ratfunc()
+            for s, image, d in ((1, base.sigma_image(i), 1),
+                                (-1, base.letter_image((i, -1)), 1), (0, taus[i - 1], scale)):
                 rows = rep.letter_rows((i, s))
-                assert rows == sparse_rows(image.rows), (rep.name, n, (i, s))
-                assert all(e is one for row in rows for e in row.values() if e.is_one())
+                assert rows == sparse_rows(image.scalar_mul(d).rows), (rep.name, n, (i, s))
+                assert all(type(e) is LaurentPoly for row in rows for e in row.values())
+                assert all(e is ONES["laurent"] for row in rows for e in row.values()
+                           if e.is_one())
+                got = rep.letter_image((i, s))
+                assert got == image and got.ring == rep.ring, (rep.name, n, (i, s))
+                assert all(type(e) is kind for row in got.sparse for e in row.values())
 
 
 def test_stored_inverses_match_berkowitz():
@@ -682,17 +704,73 @@ def _assert_failures_carry_the_difference(rep, report, monoid):
 
 
 def test_corrupted_tau_over_the_fraction_field_fails_verification():
-    """A tau image off by 1/3 in one entry, over the fraction field: the
-    failing relations report rep_apply(lhs) - rep_apply(rhs)."""
+    """A stored tau row off by 1/3 in one entry, a RatFunc among Laurent
+    entries, over the fraction field: with the representation's scale the
+    image is off in that entry only, and the failing relations report
+    rep_apply(lhs) - rep_apply(rhs)."""
     rep = lkb_ext(3, Fraction(1, 2))
-    assert rep.ring == "ratfunc" and verify_relations(rep).all_ok
-    rows = [list(r) for r in rep.tau_image(1).rows]
-    rows[0][1] = rows[0][1] + Fraction(1, 3)
-    corrupted = MatrixRep("corrupted", 3, 3, rep.ring, {**rep.rows, (1, 0): sparse_rows(rows)})
+    assert rep.ring == "ratfunc" and rep.scale == 2 and verify_relations(rep).all_ok
+    rows = [dict(row) for row in rep.letter_rows((1, 0))]
+    rows[0][1] = RatFunc(rows[0].get(1, integer(0))) + Fraction(1, 3)
+    corrupted = MatrixRep("corrupted", 3, 3, rep.ring, {**rep.rows, (1, 0): rows},
+                          scale=rep.scale)
+    difference = corrupted.tau_image(1) - rep.tau_image(1)
+    assert difference.sparse == [{1: RatFunc(1, 6)}, {}, {}]
     report = verify_relations(corrupted)
     assert report.failures
     _assert_failures_carry_the_difference(corrupted, report, "SMn")
 
+
+
+# The extensions with rational parameters, by the parameter names they take;
+# None leaves every parameter symbolic.
+SCALE_CASES = {
+    "lkb-ext": ("uv", lambda n, p: lkb_ext(n, *p)),
+    "burau-ext": ("a", lambda n, p: burau_ext(n, *p)),
+    "burau-affine": ("abc", lambda n, p: singular_extension_by_affine_combination(burau(n), *p)),
+    "wedge-affine": ("abc", lambda n, p: singular_extension_by_affine_combination(
+        exterior_square_burau(n), *p)),
+    "birman": ("abc", None),
+}
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def scale_cases(draw):
+    """An extension, n = 2..5, rational parameters, an SM_n word of at most
+    three crossings and three taus in any order, and a nonzero rational (q, t)."""
+    name, n = draw(st.sampled_from(sorted(SCALE_CASES))), draw(st.integers(2, 5))
+    params = {x: draw(RATIONALS) for x in SCALE_CASES[name][0]}
+    crossings = draw(st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1))),
+                              max_size=3))
+    taus = draw(st.lists(st.tuples(st.integers(1, n - 1), st.just(0)), max_size=3))
+    word = BraidWord(n, tuple(draw(st.permutations(crossings + taus))))
+    point = {"q": draw(RATIONALS.filter(bool)), "t": draw(RATIONALS.filter(bool))}
+    return name, params, word, point
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scale_cases())
+@example(("lkb-ext", {"u": Fraction(2, 3), "v": Fraction(-1, 6)},
+          B(3, "t1 t2 t1 -1 t2"), {"q": Fraction(-3, 2), "t": Fraction(5, 7)}))
+@example(("birman", {"a": Fraction(1, 2), "b": Fraction(-2, 3), "c": Fraction(3)},
+          B(4, "t1 -2 t3 t1"), {"q": Fraction(2), "t": Fraction(1, 3)}))
+def test_rational_parameters_evaluate_like_the_symbolic_image(case):
+    """Every entry of a word's image with rational parameters, evaluated at
+    (q, t), is the symbolic extension's image evaluated at (q, t) and those
+    parameters; for birman_image every coefficient.  The check reads only
+    values, never how the taus' scale is stored."""
+    name, params, word, point = case
+    full = {**point, **params}
+    names, build = SCALE_CASES[name]
+    if build is None:
+        got, symbolic = birman_image(word, *params.values()), birman_image(word)
+        assert {k: c.evaluate(full) for k, c in got.terms.items()} == \
+            {k: x for k, c in symbolic.terms.items() if (x := c.evaluate(full))}
+    else:
+        got = rep_apply(build(word.n, params.values()), word)
+        symbolic = rep_apply(build(word.n, [None] * len(names)), word)
+        assert got.evaluate(point) == symbolic.evaluate(full)
 
 # -- determinants of the singular images ---------------------------------------------
 
